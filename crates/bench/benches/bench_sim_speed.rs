@@ -2,7 +2,7 @@
 //! cache accesses, single-core ticking, and the dual-core system loop.
 
 use ampsched_bench::criterion;
-use ampsched_core::StaticScheduler;
+use ampsched_core::TopoStatic;
 use ampsched_cpu::{Core, CoreConfig};
 use ampsched_mem::{AccessKind, MemConfig, MemSystem};
 use ampsched_system::{DualCoreSystem, SystemConfig};
@@ -54,7 +54,7 @@ fn bench(c: &mut Criterion) {
                 Box::new(TraceGenerator::for_thread(suite::by_name("sha").unwrap(), 3, 1)),
             ];
             let mut sys = DualCoreSystem::new(SystemConfig::default(), workloads);
-            let mut sched = StaticScheduler;
+            let mut sched = TopoStatic;
             black_box(sys.run(&mut sched, 200_000, 10_000_000))
         })
     });

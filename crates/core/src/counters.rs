@@ -1,4 +1,5 @@
-//! The hardware-counter view schedulers operate on.
+//! The hardware-counter view schedulers operate on, and the dual-core
+//! machine's fixed core names.
 
 /// Which core of the dual-core AMP. The paper's Figure 1 calls the FP core
 /// "core A" and the INT core "core B"; indices are fixed systemwide:
@@ -100,24 +101,6 @@ impl ThreadWindow {
     }
 }
 
-/// A complete snapshot handed to schedulers at a decision point.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindowSnapshot {
-    /// Current system cycle.
-    pub cycle: u64,
-    /// Current thread→core assignment.
-    pub assignment: Assignment,
-    /// Per-thread window counters, indexed by *thread id*.
-    pub threads: [ThreadWindow; 2],
-}
-
-impl WindowSnapshot {
-    /// Counters of the thread currently on `core`.
-    pub fn on_core(&self, core: CoreKind) -> &ThreadWindow {
-        &self.threads[self.assignment.thread_on(core)]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,26 +127,6 @@ mod tests {
         assert_eq!(CoreKind::Fp.index(), 0);
         assert_eq!(CoreKind::Int.index(), 1);
         assert_eq!(CoreKind::Fp.other(), CoreKind::Int);
-    }
-
-    #[test]
-    fn snapshot_on_core_follows_assignment() {
-        let t0 = ThreadWindow {
-            int_pct: 10.0,
-            ..Default::default()
-        };
-        let t1 = ThreadWindow {
-            int_pct: 60.0,
-            ..Default::default()
-        };
-        let snap = WindowSnapshot {
-            cycle: 0,
-            assignment: Assignment { swapped: true },
-            threads: [t0, t1],
-        };
-        // Swapped: thread 1 is on the FP core.
-        assert_eq!(snap.on_core(CoreKind::Fp).int_pct, 60.0);
-        assert_eq!(snap.on_core(CoreKind::Int).int_pct, 10.0);
     }
 
     #[test]

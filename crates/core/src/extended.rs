@@ -15,9 +15,8 @@
 //!   the system is stall-bound (dependences, misses) and swapping only
 //!   adds overhead.
 
-use crate::counters::{CoreKind, WindowSnapshot};
-use crate::proposed::{ProposedConfig, ProposedScheduler};
-use crate::scheduler::{Decision, Scheduler};
+use crate::topo::{TopoDecision, TopoScheduler, TopoSnapshot};
+use crate::zoo::{ProposedConfig, TopoProposed};
 
 /// Veto thresholds for the extension.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,10 +40,10 @@ impl Default for ExtendedConfig {
     }
 }
 
-/// Proposed scheme + IPC/memory-awareness vetoes.
+/// Proposed scheme + IPC/memory-awareness vetoes on the swaps it issues.
 #[derive(Debug, Clone)]
 pub struct ExtendedScheduler {
-    inner: ProposedScheduler,
+    inner: TopoProposed,
     cfg: ExtendedConfig,
     /// Swaps vetoed by the memory-boundness rule.
     pub mem_vetoes: u64,
@@ -53,10 +52,11 @@ pub struct ExtendedScheduler {
 }
 
 impl ExtendedScheduler {
-    /// Build with explicit configuration.
-    pub fn new(cfg: ExtendedConfig) -> Self {
+    /// Build with explicit configuration for a topology with `threads`
+    /// threads.
+    pub fn new(cfg: ExtendedConfig, threads: usize) -> Self {
         ExtendedScheduler {
-            inner: ProposedScheduler::new(cfg.base),
+            inner: TopoProposed::new(cfg.base, threads),
             cfg,
             mem_vetoes: 0,
             ipc_vetoes: 0,
@@ -64,17 +64,12 @@ impl ExtendedScheduler {
     }
 
     /// Paper-default thresholds.
-    pub fn with_defaults() -> Self {
-        Self::new(ExtendedConfig::default())
-    }
-
-    /// Swaps the wrapped scheme actually issued.
-    pub fn swaps_issued(&self) -> u64 {
-        self.inner.swaps_issued
+    pub fn with_defaults(threads: usize) -> Self {
+        Self::new(ExtendedConfig::default(), threads)
     }
 }
 
-impl Scheduler for ExtendedScheduler {
+impl TopoScheduler for ExtendedScheduler {
     fn name(&self) -> &'static str {
         "proposed-extended"
     }
@@ -83,29 +78,33 @@ impl Scheduler for ExtendedScheduler {
         self.inner.window_insts()
     }
 
-    fn on_window(&mut self, snap: &WindowSnapshot) -> Decision {
+    fn on_window(&mut self, snap: &TopoSnapshot) -> TopoDecision {
         let decision = self.inner.on_window(snap);
-        if decision == Decision::Stay {
-            return Decision::Stay;
-        }
-        let on_fp = snap.on_core(CoreKind::Fp);
-        let on_int = snap.on_core(CoreKind::Int);
-
+        let TopoDecision::Reassign(next) = &decision else {
+            return decision;
+        };
+        let swapped: Vec<_> = next
+            .moved_threads(&snap.assignment)
+            .into_iter()
+            .map(|t| &snap.threads[t].window)
+            .collect();
         // Low-IPC veto: both threads crawling => stall-bound system.
-        if on_fp.ipc() <= self.cfg.low_ipc_floor && on_int.ipc() <= self.cfg.low_ipc_floor {
+        if swapped.iter().all(|w| w.ipc() <= self.cfg.low_ipc_floor) {
             self.ipc_vetoes += 1;
-            return Decision::Stay;
+            return TopoDecision::Stay;
         }
         // Memory-boundness veto: the thread whose surge motivated the
         // swap gains nothing from a different datapath if it mostly waits
         // on memory.
-        let fp_thread_membound = on_fp.mem_pct >= self.cfg.mem_bound_pct;
-        let int_thread_membound = on_int.mem_pct >= self.cfg.mem_bound_pct;
-        if fp_thread_membound || int_thread_membound {
+        if swapped.iter().any(|w| w.mem_pct >= self.cfg.mem_bound_pct) {
             self.mem_vetoes += 1;
-            return Decision::Stay;
+            return TopoDecision::Stay;
         }
-        Decision::Swap
+        decision
+    }
+
+    fn on_epoch(&mut self, snap: &TopoSnapshot) -> TopoDecision {
+        self.inner.on_epoch(snap)
     }
 
     fn reset(&mut self) {
@@ -118,96 +117,65 @@ impl Scheduler for ExtendedScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::{Assignment, ThreadWindow};
+    use crate::topo::AssignmentMap;
+    use crate::zoo::tests::duo;
 
-    fn snap(
-        fp_mix: (f64, f64, f64, f64, u64, u64),
-        int_mix: (f64, f64, f64, f64, u64, u64),
-        cycle: u64,
-    ) -> WindowSnapshot {
-        let mk = |(int_pct, fp_pct, mem_pct, _b, instructions, cycles): (
-            f64,
-            f64,
-            f64,
-            f64,
-            u64,
-            u64,
-        )| ThreadWindow {
-            int_pct,
-            fp_pct,
-            mem_pct,
-            branch_pct: 0.0,
-            instructions,
-            cycles,
-            joules: 0.0,
-        };
-        WindowSnapshot {
-            cycle,
-            assignment: Assignment::default(),
-            threads: [mk(fp_mix), mk(int_mix)],
+    /// `(int_pct, fp_pct, mem_pct, instructions, cycles)` of the threads
+    /// on the FP core (core 0) and the INT core (core 1).
+    type Mix = (f64, f64, f64, u64, u64);
+
+    fn snap(fp_mix: Mix, int_mix: Mix) -> TopoSnapshot {
+        let mut snap = duo(0, (fp_mix.0, fp_mix.1), (int_mix.0, int_mix.1));
+        let mixes = [fp_mix, int_mix];
+        for (obs, (_, _, mem_pct, instructions, cycles)) in snap.threads.iter_mut().zip(mixes) {
+            obs.window.mem_pct = mem_pct;
+            obs.window.instructions = instructions;
+            obs.window.cycles = cycles;
         }
+        snap
     }
 
     #[test]
     fn healthy_misplacement_still_swaps() {
-        let mut s = ExtendedScheduler::with_defaults();
+        let mut s = ExtendedScheduler::with_defaults(2);
         // INT-heavy on FP core, good IPC, low mem: no veto applies.
-        let w = snap(
-            (60.0, 1.0, 20.0, 0.0, 1000, 1200),
-            (20.0, 1.0, 20.0, 0.0, 1000, 1200),
-            0,
-        );
-        let mut last = Decision::Stay;
-        for _ in 0..5 {
-            last = s.on_window(&w);
-        }
-        assert_eq!(last, Decision::Swap);
+        let w = snap((60.0, 1.0, 20.0, 1000, 1200), (20.0, 1.0, 20.0, 1000, 1200));
+        let last = (0..5).map(|_| s.on_window(&w)).last().unwrap();
+        assert_eq!(last, TopoDecision::Reassign(AssignmentMap::pair(true)));
         assert_eq!(s.mem_vetoes + s.ipc_vetoes, 0);
     }
 
     #[test]
     fn memory_bound_thread_vetoes_the_swap() {
-        let mut s = ExtendedScheduler::with_defaults();
+        let mut s = ExtendedScheduler::with_defaults(2);
         // Composition says swap, but the FP-core thread is 55% memory ops.
-        let w = snap(
-            (60.0, 1.0, 55.0, 0.0, 1000, 5000),
-            (20.0, 1.0, 15.0, 0.0, 1000, 1200),
-            0,
-        );
+        let w = snap((60.0, 1.0, 55.0, 1000, 5000), (20.0, 1.0, 15.0, 1000, 1200));
         for _ in 0..10 {
-            assert_eq!(s.on_window(&w), Decision::Stay);
+            assert_eq!(s.on_window(&w), TopoDecision::Stay);
         }
         assert!(s.mem_vetoes > 0);
     }
 
     #[test]
     fn low_ipc_pair_vetoes_the_swap() {
-        let mut s = ExtendedScheduler::with_defaults();
+        let mut s = ExtendedScheduler::with_defaults(2);
         // Both threads at IPC 0.05: stall-bound.
-        let w = snap(
-            (60.0, 1.0, 30.0, 0.0, 100, 2000),
-            (20.0, 1.0, 30.0, 0.0, 100, 2000),
-            0,
-        );
+        let w = snap((60.0, 1.0, 30.0, 100, 2000), (20.0, 1.0, 30.0, 100, 2000));
         for _ in 0..10 {
-            assert_eq!(s.on_window(&w), Decision::Stay);
+            assert_eq!(s.on_window(&w), TopoDecision::Stay);
         }
         assert!(s.ipc_vetoes > 0);
     }
 
     #[test]
     fn reset_clears_veto_counters() {
-        let mut s = ExtendedScheduler::with_defaults();
-        let w = snap(
-            (60.0, 1.0, 55.0, 0.0, 1000, 5000),
-            (20.0, 1.0, 15.0, 0.0, 1000, 1200),
-            0,
-        );
+        let mut s = ExtendedScheduler::with_defaults(2);
+        let w = snap((60.0, 1.0, 55.0, 1000, 5000), (20.0, 1.0, 15.0, 1000, 1200));
         for _ in 0..10 {
             let _ = s.on_window(&w);
         }
         s.reset();
         assert_eq!(s.mem_vetoes, 0);
-        assert_eq!(s.swaps_issued(), 0);
+        assert_eq!(s.explain_last(), None);
     }
 }

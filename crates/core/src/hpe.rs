@@ -1,17 +1,15 @@
-//! The reference scheme: Hardware Monitoring and Prediction Engine (HPE)
-//! of Srinivasan et al. \[8\], extended to flavored cores per Section V.
-//!
-//! Every 2 ms OS epoch the scheme estimates, from each thread's observed
-//! (%INT, %FP), the IPC/Watt it *would* achieve on the other core, using
-//! either the binned ratio **matrix** (Figure 3) or the fitted
-//! **regression surface** (Figure 4). If the estimated weighted speedup of
-//! the swapped configuration exceeds 1.05 (a 5% predicted gain), the
-//! threads are swapped.
+//! The predictors of the HPE reference scheme (Srinivasan et al. \[8\],
+//! extended to flavored cores per Section V): from a thread's observed
+//! (%INT, %FP), the IPC/Watt it *would* achieve on the other core, read
+//! off either the binned ratio **matrix** (Figure 3) or the fitted
+//! **regression surface** (Figure 4). The scheduler built on them is
+//! [`crate::TopoHpe`]; the fine-grained ablation is
+//! [`crate::MatrixFineScheduler`].
 
-use crate::counters::{CoreKind, WindowSnapshot};
+use crate::counters::ThreadWindow;
 use crate::profile::ProfilePoint;
 use crate::regression::quad_basis;
-use crate::scheduler::{Decision, DecisionExplain, PredictorSource, Scheduler};
+use crate::scheduler::{DecisionExplain, PredictorSource};
 
 /// Number of 20-percentage-point bins per axis (0–100%).
 pub const MATRIX_BINS: usize = 5;
@@ -192,120 +190,66 @@ impl HpePredictor {
     }
 }
 
-/// The HPE reference scheduler (epoch-grained).
-#[derive(Debug, Clone)]
-pub struct HpeScheduler {
-    predictor: HpePredictor,
-    /// Minimum estimated weighted speedup of the swapped configuration
-    /// for a swap to be issued (paper: 1.05).
-    pub threshold: f64,
-    /// Epoch decision points seen.
-    pub decision_points: u64,
-    /// Swaps issued.
-    pub swaps_issued: u64,
-    last_explain: Option<DecisionExplain>,
+/// HPE's estimate for swapping the threads of one flavour-contrasted
+/// core pair.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SwapEstimate {
+    /// Predicted ratio for the thread on the FP-role core (it would move
+    /// to the INT-role core and gain this ratio).
+    pub ratio_on_fp: f64,
+    /// Predicted ratio for the thread on the INT-role core (it would move
+    /// to the FP-role core and gain the inverse).
+    pub ratio_on_int: f64,
+    /// Estimated weighted speedup of the swapped configuration,
+    /// `(r_fp + 1/r_int) / 2`.
+    pub speedup: f64,
 }
 
-impl HpeScheduler {
-    /// Build with the paper's 1.05 threshold.
-    pub fn new(predictor: HpePredictor) -> Self {
-        HpeScheduler {
-            predictor,
-            threshold: 1.05,
-            decision_points: 0,
-            swaps_issued: 0,
-            last_explain: None,
+impl SwapEstimate {
+    /// Whether swapping *back* after this swap would look harmful — the
+    /// estimate of un-swapping, evaluated with the roles exchanged, is
+    /// below 1 (see [`crate::TopoHpe::swap_is_stable`]).
+    pub(crate) fn is_stable(&self) -> bool {
+        (self.ratio_on_int + 1.0 / self.ratio_on_fp.max(1e-6)) / 2.0 < 1.0
+    }
+
+    /// The estimate as an audit-trail explanation.
+    pub(crate) fn explain(&self, source: PredictorSource) -> DecisionExplain {
+        DecisionExplain {
+            ratio_on_fp: Some(self.ratio_on_fp),
+            ratio_on_int: Some(self.ratio_on_int),
+            predicted_speedup: Some(self.speedup),
+            ..DecisionExplain::from_source(source)
         }
-    }
-
-    /// The predictor in use.
-    pub fn predictor(&self) -> &HpePredictor {
-        &self.predictor
-    }
-
-    /// Estimated weighted speedup of the *swapped* configuration given
-    /// the two threads' compositions.
-    pub fn estimated_swap_speedup(&self, snap: &WindowSnapshot) -> f64 {
-        let on_fp = snap.on_core(CoreKind::Fp);
-        let on_int = snap.on_core(CoreKind::Int);
-        // Thread now on FP core would move to INT: gains the ratio.
-        let r_fp_thread = self.predictor.predict_ratio(on_fp.int_pct, on_fp.fp_pct);
-        // Thread now on INT core would move to FP: gains the inverse.
-        let r_int_thread = self.predictor.predict_ratio(on_int.int_pct, on_int.fp_pct);
-        (r_fp_thread + 1.0 / r_int_thread.max(1e-6)) / 2.0
-    }
-
-    /// Oscillation guard: is the swapped configuration *stable*?
-    ///
-    /// `(r + 1/r)/2 > 1` holds for any `r ≠ 1`, so for two threads of the
-    /// *same* flavor the naive weighted estimate says "swap" in both
-    /// directions forever — an artifact of extending the big/small-core
-    /// HPE formula to flavored cores. Srinivasan et al.'s scheme assigns
-    /// each thread to the core it is predicted to run best on (a
-    /// ranking), so equal threads never oscillate. We keep the paper's
-    /// weighted-speedup threshold but additionally require that, after
-    /// the swap, swapping *back* would not also look beneficial.
-    pub fn swap_is_stable(&self, snap: &WindowSnapshot) -> bool {
-        let on_fp = snap.on_core(CoreKind::Fp);
-        let on_int = snap.on_core(CoreKind::Int);
-        let r_fp_thread = self.predictor.predict_ratio(on_fp.int_pct, on_fp.fp_pct);
-        let r_int_thread = self.predictor.predict_ratio(on_int.int_pct, on_int.fp_pct);
-        // Estimate of un-swapping, evaluated in the post-swap assignment
-        // (roles exchanged).
-        let reverse = (r_int_thread + 1.0 / r_fp_thread.max(1e-6)) / 2.0;
-        reverse < 1.0
     }
 }
 
-impl Scheduler for HpeScheduler {
-    fn name(&self) -> &'static str {
-        match self.predictor {
-            HpePredictor::Matrix(_) => "hpe-matrix",
-            HpePredictor::Surface(_) => "hpe-surface",
+impl HpePredictor {
+    /// Estimate swapping the thread observed as `on_fp` (on the FP-role
+    /// core) with the one observed as `on_int` (on the INT-role core).
+    pub(crate) fn swap_estimate(
+        &self,
+        on_fp: &ThreadWindow,
+        on_int: &ThreadWindow,
+    ) -> SwapEstimate {
+        let ratio_on_fp = self.predict_ratio(on_fp.int_pct, on_fp.fp_pct);
+        let ratio_on_int = self.predict_ratio(on_int.int_pct, on_int.fp_pct);
+        SwapEstimate {
+            ratio_on_fp,
+            ratio_on_int,
+            speedup: (ratio_on_fp + 1.0 / ratio_on_int.max(1e-6)) / 2.0,
         }
-    }
-
-    fn on_epoch(&mut self, snap: &WindowSnapshot) -> Decision {
-        self.decision_points += 1;
-        let on_fp = snap.on_core(CoreKind::Fp);
-        let on_int = snap.on_core(CoreKind::Int);
-        let r_fp_thread = self.predictor.predict_ratio(on_fp.int_pct, on_fp.fp_pct);
-        let r_int_thread = self.predictor.predict_ratio(on_int.int_pct, on_int.fp_pct);
-        let speedup = (r_fp_thread + 1.0 / r_int_thread.max(1e-6)) / 2.0;
-        self.last_explain = Some(DecisionExplain {
-            ratio_on_fp: Some(r_fp_thread),
-            ratio_on_int: Some(r_int_thread),
-            predicted_speedup: Some(speedup),
-            ..DecisionExplain::from_source(self.predictor.source())
-        });
-        if speedup > self.threshold && self.swap_is_stable(snap) {
-            self.swaps_issued += 1;
-            Decision::Swap
-        } else {
-            Decision::Stay
-        }
-    }
-
-    fn explain_last(&self) -> Option<DecisionExplain> {
-        self.last_explain
-    }
-
-    fn reset(&mut self) {
-        self.decision_points = 0;
-        self.swaps_issued = 0;
-        self.last_explain = None;
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::counters::{Assignment, ThreadWindow};
 
     /// Synthetic profile with the qualitative truth of the substrate:
     /// INT-heavy compositions favor the INT core (ratio > 1), FP-heavy
     /// favor the FP core (ratio < 1).
-    fn synthetic_points() -> Vec<ProfilePoint> {
+    pub(crate) fn synthetic_points() -> Vec<ProfilePoint> {
         let mut pts = Vec::new();
         for i in 0..=10 {
             for f in 0..=(10 - i) {
@@ -324,23 +268,8 @@ mod tests {
         pts
     }
 
-    fn snap(fp_core_mix: (f64, f64), int_core_mix: (f64, f64)) -> WindowSnapshot {
-        WindowSnapshot {
-            cycle: 0,
-            assignment: Assignment::default(),
-            threads: [
-                ThreadWindow {
-                    int_pct: fp_core_mix.0,
-                    fp_pct: fp_core_mix.1,
-                    ..Default::default()
-                },
-                ThreadWindow {
-                    int_pct: int_core_mix.0,
-                    fp_pct: int_core_mix.1,
-                    ..Default::default()
-                },
-            ],
-        }
+    fn mix(int_pct: f64, fp_pct: f64) -> ThreadWindow {
+        ThreadWindow { int_pct, fp_pct, ..Default::default() }
     }
 
     #[test]
@@ -394,86 +323,26 @@ mod tests {
     }
 
     #[test]
-    fn hpe_swaps_misplaced_complementary_pair() {
-        let mut hpe = HpeScheduler::new(HpePredictor::Matrix(RatioMatrix::from_points(
-            &synthetic_points(),
-        )));
-        // INT-heavy thread on FP core, FP-heavy thread on INT core.
-        let d = hpe.on_epoch(&snap((80.0, 2.0), (5.0, 60.0)));
-        assert_eq!(d, Decision::Swap);
-        assert_eq!(hpe.swaps_issued, 1);
-    }
-
-    #[test]
-    fn hpe_keeps_well_placed_pair() {
-        let mut hpe = HpeScheduler::new(HpePredictor::Matrix(RatioMatrix::from_points(
-            &synthetic_points(),
-        )));
-        // FP-heavy thread on FP core, INT-heavy on INT core: estimated
-        // swapped speedup is well below 1.
-        let d = hpe.on_epoch(&snap((5.0, 60.0), (80.0, 2.0)));
-        assert_eq!(d, Decision::Stay);
-    }
-
-    #[test]
-    fn threshold_blocks_marginal_swaps() {
-        let mut hpe = HpeScheduler::new(HpePredictor::Surface(RatioSurface::from_points(
-            &synthetic_points(),
-        )));
-        // Neutral compositions: predicted speedup ≈ (r + 1/r)/2 ≈ 1.
-        let d = hpe.on_epoch(&snap((40.0, 10.0), (40.0, 10.0)));
-        assert_eq!(d, Decision::Stay, "sub-5% estimates must not swap");
-    }
-
-    #[test]
-    fn same_flavor_pairs_do_not_oscillate() {
-        // Two INT-heavy threads: the naive weighted estimate is > 1.05 in
-        // both directions; the stability guard must block the swap.
-        let mut hpe = HpeScheduler::new(HpePredictor::Matrix(RatioMatrix::from_points(
-            &synthetic_points(),
-        )));
-        let same_flavor = snap((75.0, 1.0), (70.0, 2.0));
-        assert!(
-            hpe.estimated_swap_speedup(&same_flavor) > 1.05,
-            "the naive estimate is indeed above threshold"
-        );
-        assert!(!hpe.swap_is_stable(&same_flavor));
-        for _ in 0..10 {
-            assert_eq!(hpe.on_epoch(&same_flavor), Decision::Stay);
-        }
-        assert_eq!(hpe.swaps_issued, 0);
-        // A genuinely misplaced complementary pair is stable and swaps.
-        let misplaced = snap((80.0, 2.0), (5.0, 60.0));
-        assert!(hpe.swap_is_stable(&misplaced));
-        assert_eq!(hpe.on_epoch(&misplaced), Decision::Swap);
-    }
-
-    #[test]
-    fn explain_reports_predictor_outputs() {
-        let mut hpe = HpeScheduler::new(HpePredictor::Matrix(RatioMatrix::from_points(
-            &synthetic_points(),
-        )));
-        assert!(hpe.explain_last().is_none());
-        let s = snap((80.0, 2.0), (5.0, 60.0));
-        let expected = hpe.estimated_swap_speedup(&s);
-        let _ = hpe.on_epoch(&s);
-        let e = hpe.explain_last().expect("explained after a decision");
-        assert_eq!(e.source, PredictorSource::Matrix);
-        assert_eq!(e.predicted_speedup, Some(expected));
+    fn estimated_speedup_is_symmetric_around_unity() {
+        let p = HpePredictor::Surface(RatioSurface::from_points(&synthetic_points()));
+        let good = p.swap_estimate(&mix(80.0, 2.0), &mix(5.0, 60.0));
+        let bad = p.swap_estimate(&mix(5.0, 60.0), &mix(80.0, 2.0));
+        assert!(good.speedup > 1.05 && good.is_stable());
+        assert!(bad.speedup < 1.0);
+        let e = good.explain(p.source());
+        assert_eq!(e.source, PredictorSource::Surface);
+        assert_eq!(e.predicted_speedup, Some(good.speedup));
         assert!(e.ratio_on_fp.unwrap() > 1.0, "INT-heavy thread on FP core");
         assert!(e.ratio_on_int.unwrap() < 1.0, "FP-heavy thread on INT core");
-        hpe.reset();
-        assert!(hpe.explain_last().is_none());
     }
 
     #[test]
-    fn estimated_speedup_is_symmetric_around_unity() {
-        let hpe = HpeScheduler::new(HpePredictor::Surface(RatioSurface::from_points(
-            &synthetic_points(),
-        )));
-        let good = hpe.estimated_swap_speedup(&snap((80.0, 2.0), (5.0, 60.0)));
-        let bad = hpe.estimated_swap_speedup(&snap((5.0, 60.0), (80.0, 2.0)));
-        assert!(good > 1.05);
-        assert!(bad < 1.0);
+    fn same_flavor_estimates_are_unstable() {
+        // Two INT-heavy threads: the naive weighted estimate is > 1.05 in
+        // both directions, which the stability guard catches.
+        let p = HpePredictor::Matrix(RatioMatrix::from_points(&synthetic_points()));
+        let e = p.swap_estimate(&mix(75.0, 1.0), &mix(70.0, 2.0));
+        assert!(e.speedup > 1.05, "the naive estimate is indeed above threshold");
+        assert!(!e.is_stable());
     }
 }

@@ -4,82 +4,83 @@
 //! Separates the two axes the paper's comparison conflates — *predictor
 //! quality* (composition rules vs. profiled ratio model) and *decision
 //! granularity* (1000-instruction windows vs. 2 ms epochs). Comparing
-//! `MatrixFineScheduler` against both `HpeScheduler` (same predictor,
-//! coarse) and `ProposedScheduler` (same granularity, rule-based
-//! predictor) isolates each effect; DESIGN.md lists this as ablation 3/5.
+//! `MatrixFineScheduler` against both [`crate::TopoHpe`] (same
+//! predictor, coarse) and [`crate::TopoProposed`] (same granularity,
+//! rule-based predictor) isolates each effect; DESIGN.md lists this as
+//! ablation 3/5.
 
-use crate::counters::WindowSnapshot;
-use crate::history::MajorityVote;
 use crate::hpe::HpePredictor;
-use crate::scheduler::{Decision, DecisionExplain, Scheduler};
+use crate::scheduler::DecisionExplain;
+use crate::topo::{TopoDecision, TopoScheduler, TopoSnapshot};
+use crate::zoo::{first_hpe_swap, swap_cores, PairVote};
 
-/// Fine-grained matrix/surface-predictor scheduler.
+/// Fine-grained matrix/surface-predictor scheduler: per window, the
+/// first flavour-contrasted core pair whose HPE estimate clears the
+/// threshold and is stable is the tentative decision, filtered through
+/// the proposed scheme's history vote.
 #[derive(Debug, Clone)]
 pub struct MatrixFineScheduler {
     predictor: HpePredictor,
     window: u64,
-    vote: MajorityVote,
+    threads: usize,
+    vote: PairVote,
     /// Minimum estimated weighted speedup to tentatively vote "swap".
     pub threshold: f64,
-    /// Swaps issued.
-    pub swaps_issued: u64,
     last_explain: Option<DecisionExplain>,
 }
 
 impl MatrixFineScheduler {
     /// Build with the proposed scheme's default window (1000/thread) and
-    /// history depth (5).
-    pub fn new(predictor: HpePredictor) -> Self {
-        Self::with_params(predictor, 1000, 5)
+    /// history depth (5) for a topology with `threads` threads.
+    pub fn new(predictor: HpePredictor, threads: usize) -> Self {
+        Self::with_params(predictor, 1000, 5, threads)
     }
 
     /// Fully parameterized constructor.
-    pub fn with_params(predictor: HpePredictor, window: u64, history_depth: usize) -> Self {
+    pub fn with_params(
+        predictor: HpePredictor,
+        window: u64,
+        history_depth: usize,
+        threads: usize,
+    ) -> Self {
         MatrixFineScheduler {
             predictor,
             window,
-            vote: MajorityVote::new(history_depth),
+            threads,
+            vote: PairVote::new(history_depth),
             threshold: 1.05,
-            swaps_issued: 0,
             last_explain: None,
         }
     }
 }
 
-impl Scheduler for MatrixFineScheduler {
+impl TopoScheduler for MatrixFineScheduler {
     fn name(&self) -> &'static str {
         "matrix-fine"
     }
 
     fn window_insts(&self) -> Option<u64> {
-        Some(self.window * 2)
+        Some(self.window * self.threads as u64)
     }
 
-    fn on_window(&mut self, snap: &WindowSnapshot) -> Decision {
-        use crate::counters::CoreKind;
-        let on_fp = snap.on_core(CoreKind::Fp);
-        let on_int = snap.on_core(CoreKind::Int);
-        let r_fp = self.predictor.predict_ratio(on_fp.int_pct, on_fp.fp_pct);
-        let r_int = self.predictor.predict_ratio(on_int.int_pct, on_int.fp_pct);
-        let est = (r_fp + 1.0 / r_int.max(1e-6)) / 2.0;
-        // Same oscillation guard as `HpeScheduler`: require that swapping
-        // back would not also look beneficial (see `swap_is_stable`).
-        let stable = (r_int + 1.0 / r_fp.max(1e-6)) / 2.0 < 1.0;
-        self.vote.push(est > self.threshold && stable);
+    fn on_window(&mut self, snap: &TopoSnapshot) -> TopoDecision {
+        // Same oscillation guard as `TopoHpe`, from the estimate's own
+        // ratios.
+        let (tentative, explain) =
+            first_hpe_swap(&self.predictor, snap, self.threshold, |_, e| e.is_stable());
+        self.vote.push(tentative);
+        let votes = self.vote.explain(self.predictor.source());
         self.last_explain = Some(DecisionExplain {
-            ratio_on_fp: Some(r_fp),
-            ratio_on_int: Some(r_int),
-            predicted_speedup: Some(est),
-            votes_for: Some(self.vote.yes_votes() as u32),
-            vote_depth: Some(self.vote.depth() as u32),
-            source: self.predictor.source(),
+            votes_for: votes.votes_for,
+            vote_depth: votes.vote_depth,
+            ..explain.unwrap_or(votes)
         });
-        if self.vote.majority() {
-            self.vote.clear();
-            self.swaps_issued += 1;
-            Decision::Swap
-        } else {
-            Decision::Stay
+        match self.vote.majority_pair(snap) {
+            Some((a, b)) => {
+                self.vote.clear();
+                swap_cores(snap, a, b)
+            }
+            None => TopoDecision::Stay,
         }
     }
 
@@ -89,7 +90,6 @@ impl Scheduler for MatrixFineScheduler {
 
     fn reset(&mut self) {
         self.vote.clear();
-        self.swaps_issued = 0;
         self.last_explain = None;
     }
 }
@@ -97,72 +97,41 @@ impl Scheduler for MatrixFineScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::{Assignment, ThreadWindow};
+    use crate::hpe::tests::synthetic_points;
     use crate::hpe::RatioSurface;
-    use crate::profile::ProfilePoint;
+    use crate::topo::AssignmentMap;
+    use crate::zoo::tests::duo;
 
-    fn predictor() -> HpePredictor {
-        let mut pts = Vec::new();
-        for i in 0..=10 {
-            for f in 0..=(10 - i) {
-                let int_pct = i as f64 * 10.0;
-                let fp_pct = f as f64 * 10.0;
-                let ratio = (1.0 + 0.012 * int_pct - 0.02 * fp_pct).max(0.2);
-                pts.push(ProfilePoint {
-                    int_pct,
-                    fp_pct,
-                    ppw_int_core: ratio,
-                    ppw_fp_core: 1.0,
-                });
-            }
-        }
-        HpePredictor::Surface(RatioSurface::from_points(&pts))
-    }
-
-    fn snap(fp_core_mix: (f64, f64), int_core_mix: (f64, f64)) -> WindowSnapshot {
-        WindowSnapshot {
-            cycle: 0,
-            assignment: Assignment::default(),
-            threads: [
-                ThreadWindow {
-                    int_pct: fp_core_mix.0,
-                    fp_pct: fp_core_mix.1,
-                    ..Default::default()
-                },
-                ThreadWindow {
-                    int_pct: int_core_mix.0,
-                    fp_pct: int_core_mix.1,
-                    ..Default::default()
-                },
-            ],
-        }
+    fn scheduler() -> MatrixFineScheduler {
+        MatrixFineScheduler::new(
+            HpePredictor::Surface(RatioSurface::from_points(&synthetic_points())),
+            2,
+        )
     }
 
     #[test]
     fn swaps_after_vote_fills_on_misplacement() {
-        let mut s = MatrixFineScheduler::new(predictor());
-        let misplaced = snap((80.0, 2.0), (5.0, 60.0));
-        let mut swapped = false;
-        for _ in 0..5 {
-            if s.on_window(&misplaced) == Decision::Swap {
-                swapped = true;
-            }
-        }
-        assert!(swapped);
+        let mut s = scheduler();
+        let misplaced = duo(0, (80.0, 2.0), (5.0, 60.0));
+        let decisions: Vec<TopoDecision> = (0..5).map(|_| s.on_window(&misplaced)).collect();
+        assert!(decisions[..4].iter().all(|d| *d == TopoDecision::Stay));
+        assert_eq!(decisions[4], TopoDecision::Reassign(AssignmentMap::pair(true)));
+        let e = s.explain_last().expect("explained");
+        assert_eq!((e.votes_for, e.vote_depth), (Some(5), Some(5)));
+        assert!(e.predicted_speedup.unwrap() > 1.05);
     }
 
     #[test]
     fn stays_on_good_placement() {
-        let mut s = MatrixFineScheduler::new(predictor());
-        let placed = snap((5.0, 60.0), (80.0, 2.0));
+        let mut s = scheduler();
+        let placed = duo(0, (5.0, 60.0), (80.0, 2.0));
         for _ in 0..20 {
-            assert_eq!(s.on_window(&placed), Decision::Stay);
+            assert_eq!(s.on_window(&placed), TopoDecision::Stay);
         }
     }
 
     #[test]
     fn window_cadence_matches_proposed_default() {
-        let s = MatrixFineScheduler::new(predictor());
-        assert_eq!(s.window_insts(), Some(2000));
+        assert_eq!(scheduler().window_insts(), Some(2000));
     }
 }

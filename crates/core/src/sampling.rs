@@ -7,18 +7,21 @@
 //! perturbs execution — is visible in the simulator: every probe costs
 //! two swap overheads and runs one epoch in the possibly-worse
 //! configuration.
+//!
+//! The challenger is the Round Robin rotation of the incumbent
+//! assignment, which on the paper's machine is the pair swap.
 
-use crate::counters::WindowSnapshot;
-use crate::scheduler::{Decision, Scheduler};
+use crate::topo::{AssignmentMap, TopoDecision, TopoScheduler, TopoSnapshot};
+use crate::zoo::rotate_slots;
 
 /// State machine phase of the sampler.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 enum SamplePhase {
     /// Running the incumbent assignment; counting epochs to next probe.
     Settled { epochs_left: u32 },
-    /// Probe issued: the *previous* epoch's metric is stored, the swapped
-    /// assignment is being measured this epoch.
-    Probing { incumbent_metric: f64 },
+    /// Probe issued: the *previous* epoch's assignment and metric are
+    /// stored, the challenger is being measured this epoch.
+    Probing { incumbent: AssignmentMap, incumbent_metric: f64 },
 }
 
 /// Forceful-swap sampling scheduler.
@@ -55,11 +58,12 @@ impl SamplingScheduler {
         }
     }
 
-    /// System IPC/Watt of one epoch snapshot: the sum of both threads'
+    /// System IPC/Watt of one epoch snapshot: the sum of every thread's
     /// IPC/Watt (the sampler's figure of merit).
-    fn metric(snap: &WindowSnapshot) -> f64 {
+    fn metric(snap: &TopoSnapshot) -> f64 {
         snap.threads
             .iter()
+            .map(|obs| &obs.window)
             .map(|t| {
                 if t.joules <= 0.0 || t.cycles == 0 {
                     0.0
@@ -74,41 +78,36 @@ impl SamplingScheduler {
     }
 }
 
-impl Scheduler for SamplingScheduler {
+impl TopoScheduler for SamplingScheduler {
     fn name(&self) -> &'static str {
         "sampling"
     }
 
-    fn on_epoch(&mut self, snap: &WindowSnapshot) -> Decision {
-        match self.phase {
-            SamplePhase::Settled { epochs_left } => {
-                if epochs_left > 1 {
-                    self.phase = SamplePhase::Settled {
-                        epochs_left: epochs_left - 1,
-                    };
-                    Decision::Stay
-                } else {
-                    // Time to probe: remember the incumbent's showing and
-                    // force the swapped assignment for one epoch.
-                    self.probes += 1;
-                    self.phase = SamplePhase::Probing {
-                        incumbent_metric: Self::metric(snap),
-                    };
-                    Decision::Swap
-                }
+    fn on_epoch(&mut self, snap: &TopoSnapshot) -> TopoDecision {
+        let settled = SamplePhase::Settled { epochs_left: self.probe_interval_epochs };
+        match std::mem::replace(&mut self.phase, settled) {
+            SamplePhase::Settled { epochs_left } if epochs_left > 1 => {
+                self.phase = SamplePhase::Settled { epochs_left: epochs_left - 1 };
+                TopoDecision::Stay
             }
-            SamplePhase::Probing { incumbent_metric } => {
-                let challenger = Self::metric(snap);
-                self.phase = SamplePhase::Settled {
-                    epochs_left: self.probe_interval_epochs,
+            SamplePhase::Settled { .. } => {
+                // Time to probe: remember the incumbent's showing and
+                // force the challenger for one epoch.
+                self.probes += 1;
+                self.phase = SamplePhase::Probing {
+                    incumbent: snap.assignment.clone(),
+                    incumbent_metric: Self::metric(snap),
                 };
-                if challenger >= incumbent_metric * (1.0 + self.keep_margin) {
-                    // Keep the swapped (current) assignment.
+                TopoDecision::Reassign(rotate_slots(&snap.assignment))
+            }
+            SamplePhase::Probing { incumbent, incumbent_metric } => {
+                if Self::metric(snap) >= incumbent_metric * (1.0 + self.keep_margin) {
+                    // Keep the challenger (current) assignment.
                     self.adoptions += 1;
-                    Decision::Stay
+                    TopoDecision::Stay
                 } else {
                     // Revert to the incumbent.
-                    Decision::Swap
+                    TopoDecision::Reassign(incumbent)
                 }
             }
         }
@@ -126,47 +125,61 @@ impl Scheduler for SamplingScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::{Assignment, ThreadWindow};
+    use crate::topo::TopoThreadObs;
+    use crate::ThreadWindow;
 
-    fn snap(metric0: f64, metric1: f64) -> WindowSnapshot {
-        let mk = |m: f64| ThreadWindow {
-            instructions: (m * 1000.0) as u64,
-            joules: 1e-3,
-            cycles: 1000,
-            ..Default::default()
+    fn snap(metric0: f64, metric1: f64) -> TopoSnapshot {
+        let mk = |m: f64, core| TopoThreadObs {
+            window: ThreadWindow {
+                instructions: (m * 1000.0) as u64,
+                joules: 1e-3,
+                cycles: 1000,
+                ..Default::default()
+            },
+            total_instructions: 0,
+            core: Some(core),
         };
-        WindowSnapshot {
+        TopoSnapshot {
             cycle: 0,
-            assignment: Assignment::default(),
-            threads: [mk(metric0), mk(metric1)],
+            assignment: AssignmentMap::pair(false),
+            cores: Vec::new(),
+            threads: vec![mk(metric0, 0), mk(metric1, 1)],
         }
+    }
+
+    fn swap() -> TopoDecision {
+        TopoDecision::Reassign(AssignmentMap::pair(true))
+    }
+
+    fn back() -> TopoDecision {
+        TopoDecision::Reassign(AssignmentMap::pair(false))
     }
 
     #[test]
     fn probes_on_schedule() {
         let mut s = SamplingScheduler::new(3);
         // Two settle epochs, then the probe swap on the third.
-        assert_eq!(s.on_epoch(&snap(1.0, 1.0)), Decision::Stay);
-        assert_eq!(s.on_epoch(&snap(1.0, 1.0)), Decision::Stay);
-        assert_eq!(s.on_epoch(&snap(1.0, 1.0)), Decision::Swap);
+        assert_eq!(s.on_epoch(&snap(1.0, 1.0)), TopoDecision::Stay);
+        assert_eq!(s.on_epoch(&snap(1.0, 1.0)), TopoDecision::Stay);
+        assert_eq!(s.on_epoch(&snap(1.0, 1.0)), swap());
         assert_eq!(s.probes, 1);
     }
 
     #[test]
     fn keeps_better_challenger() {
         let mut s = SamplingScheduler::new(1);
-        assert_eq!(s.on_epoch(&snap(1.0, 1.0)), Decision::Swap, "probe");
+        assert_eq!(s.on_epoch(&snap(1.0, 1.0)), swap(), "probe");
         // The probed assignment performs 50% better: keep it (Stay).
-        assert_eq!(s.on_epoch(&snap(1.5, 1.5)), Decision::Stay);
+        assert_eq!(s.on_epoch(&snap(1.5, 1.5)), TopoDecision::Stay);
         assert_eq!(s.adoptions, 1);
     }
 
     #[test]
     fn reverts_worse_challenger() {
         let mut s = SamplingScheduler::new(1);
-        assert_eq!(s.on_epoch(&snap(1.0, 1.0)), Decision::Swap, "probe");
-        // The probed assignment is worse: revert (Swap back).
-        assert_eq!(s.on_epoch(&snap(0.6, 0.6)), Decision::Swap);
+        assert_eq!(s.on_epoch(&snap(1.0, 1.0)), swap(), "probe");
+        // The probed assignment is worse: revert to the incumbent.
+        assert_eq!(s.on_epoch(&snap(0.6, 0.6)), back());
         assert_eq!(s.adoptions, 0);
     }
 
@@ -175,7 +188,7 @@ mod tests {
         let mut s = SamplingScheduler::new(1);
         let _ = s.on_epoch(&snap(1.0, 1.0));
         // 1% better: below the 2% margin -> revert.
-        assert_eq!(s.on_epoch(&snap(1.01, 1.01)), Decision::Swap);
+        assert_eq!(s.on_epoch(&snap(1.01, 1.01)), back());
     }
 
     #[test]

@@ -1,15 +1,5 @@
-//! The scheduler interface the system driver invokes.
-
-use crate::counters::WindowSnapshot;
-
-/// A scheduling decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Decision {
-    /// Keep the current thread→core assignment.
-    Stay,
-    /// Exchange the threads between the two cores.
-    Swap,
-}
+//! Decision provenance: the audit-trail record every scheduler can
+//! publish alongside its decisions.
 
 /// Which estimator produced a decision — the audit trail's provenance
 /// tag (see [`DecisionExplain`]).
@@ -49,7 +39,7 @@ impl PredictorSource {
 }
 
 /// Predictor inputs and outputs behind the most recent decision, exposed
-/// by [`Scheduler::explain_last`] for the decision audit trail.
+/// by [`crate::TopoScheduler::explain_last`] for the decision audit trail.
 ///
 /// Every field is a value the scheduler already computed while deciding;
 /// capturing it is read-only and cannot perturb the decision itself.
@@ -85,130 +75,5 @@ impl DecisionExplain {
             votes_for: None,
             vote_depth: None,
         }
-    }
-}
-
-/// A thread-scheduling policy for the dual-core AMP.
-///
-/// The system driver invokes:
-///
-/// * [`Scheduler::on_window`] whenever `window_insts()` committed
-///   instructions (summed over both threads) have retired since the last
-///   window boundary — the fine-grained decision points of the proposed
-///   scheme;
-/// * [`Scheduler::on_epoch`] every OS context-switch epoch (2 ms), the
-///   cadence of the HPE and Round Robin reference schemes.
-///
-/// A returned [`Decision::Swap`] is executed immediately by the system
-/// (with its full overhead); schedulers may assume their decisions take
-/// effect.
-pub trait Scheduler {
-    /// Human-readable scheme name (for reports).
-    fn name(&self) -> &'static str;
-
-    /// Combined (both threads) committed-instruction window between
-    /// `on_window` invocations. `None` disables window callbacks.
-    fn window_insts(&self) -> Option<u64> {
-        None
-    }
-
-    /// Fine-grained decision point. Default: keep the assignment.
-    fn on_window(&mut self, _snap: &WindowSnapshot) -> Decision {
-        Decision::Stay
-    }
-
-    /// Epoch (2 ms) decision point. Default: keep the assignment.
-    fn on_epoch(&mut self, _snap: &WindowSnapshot) -> Decision {
-        Decision::Stay
-    }
-
-    /// Predictor state behind the most recent `on_window`/`on_epoch`
-    /// decision, for the telemetry audit trail. Default: no explanation
-    /// (schemes without predictor state need not implement this).
-    fn explain_last(&self) -> Option<DecisionExplain> {
-        None
-    }
-
-    /// Reset internal state (new run).
-    fn reset(&mut self) {}
-}
-
-impl<S: Scheduler + ?Sized> Scheduler for &mut S {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn window_insts(&self) -> Option<u64> {
-        (**self).window_insts()
-    }
-    fn on_window(&mut self, snap: &WindowSnapshot) -> Decision {
-        (**self).on_window(snap)
-    }
-    fn on_epoch(&mut self, snap: &WindowSnapshot) -> Decision {
-        (**self).on_epoch(snap)
-    }
-    fn explain_last(&self) -> Option<DecisionExplain> {
-        (**self).explain_last()
-    }
-    fn reset(&mut self) {
-        (**self).reset()
-    }
-}
-
-impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn window_insts(&self) -> Option<u64> {
-        (**self).window_insts()
-    }
-    fn on_window(&mut self, snap: &WindowSnapshot) -> Decision {
-        (**self).on_window(snap)
-    }
-    fn on_epoch(&mut self, snap: &WindowSnapshot) -> Decision {
-        (**self).on_epoch(snap)
-    }
-    fn explain_last(&self) -> Option<DecisionExplain> {
-        (**self).explain_last()
-    }
-    fn reset(&mut self) {
-        (**self).reset()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::counters::{Assignment, ThreadWindow};
-
-    struct AlwaysSwap;
-
-    impl Scheduler for AlwaysSwap {
-        fn name(&self) -> &'static str {
-            "always-swap"
-        }
-        fn on_epoch(&mut self, _snap: &WindowSnapshot) -> Decision {
-            Decision::Swap
-        }
-    }
-
-    #[test]
-    fn trait_defaults() {
-        let mut s = AlwaysSwap;
-        let snap = WindowSnapshot {
-            cycle: 0,
-            assignment: Assignment::default(),
-            threads: [ThreadWindow::default(); 2],
-        };
-        assert_eq!(s.window_insts(), None);
-        assert_eq!(s.explain_last(), None);
-        assert_eq!(s.on_window(&snap), Decision::Stay);
-        assert_eq!(s.on_epoch(&snap), Decision::Swap);
-        s.reset();
-    }
-
-    #[test]
-    fn trait_is_object_safe() {
-        let s: Box<dyn Scheduler> = Box::new(AlwaysSwap);
-        assert_eq!(s.name(), "always-swap");
     }
 }

@@ -5,9 +5,8 @@
 //! the substrate-independent pieces: the thread→core [`AssignmentMap`],
 //! the per-core capability descriptor [`CoreTraits`] schedulers rank
 //! against, the decision-point view [`TopoSnapshot`], and the
-//! [`TopoScheduler`] trait the generalized system drives. The legacy
-//! dual-core [`Scheduler`] trait keeps working through
-//! [`PairAdapter`].
+//! [`TopoScheduler`] trait the system drives — on the paper's dual-core
+//! machine too, which is the 2-core × 2-thread case.
 //!
 //! ## Contracts
 //!
@@ -22,8 +21,8 @@
 //!   internal state seeded at construction, so decision streams are
 //!   deterministic across reruns.
 
-use crate::counters::{Assignment, ThreadWindow, WindowSnapshot};
-use crate::scheduler::{Decision, DecisionExplain, Scheduler};
+use crate::counters::{Assignment, ThreadWindow};
+use crate::scheduler::DecisionExplain;
 
 /// Substrate-independent description of one core's capabilities, derived
 /// from the microarchitectural config by the system layer. Schedulers
@@ -253,19 +252,6 @@ impl TopoSnapshot {
     pub fn on_core(&self, c: usize) -> Option<&TopoThreadObs> {
         self.assignment.thread_on(c).map(|t| &self.threads[t])
     }
-
-    /// Legacy dual-core view for 2-core/2-thread topologies.
-    pub fn pair_view(&self) -> Option<WindowSnapshot> {
-        let assignment = self.assignment.as_pair()?;
-        if self.threads.len() != 2 {
-            return None;
-        }
-        Some(WindowSnapshot {
-            cycle: self.cycle,
-            assignment,
-            threads: [self.threads[0].window, self.threads[1].window],
-        })
-    }
 }
 
 /// A generalized scheduling decision.
@@ -288,10 +274,20 @@ impl TopoDecision {
     }
 }
 
-/// A thread-scheduling policy for an arbitrary N-core × M-thread AMP —
-/// the generalized form of [`Scheduler`]. Same driver cadence: windows
-/// fire on committed instructions summed over all threads, epochs on
-/// simulated time.
+/// A thread-scheduling policy for an arbitrary N-core × M-thread AMP.
+///
+/// The system driver invokes:
+///
+/// * [`TopoScheduler::on_window`] whenever `window_insts()` committed
+///   instructions (summed over all threads) have retired since the last
+///   window boundary — the fine-grained decision points of the proposed
+///   scheme;
+/// * [`TopoScheduler::on_epoch`] every OS context-switch epoch (2 ms),
+///   the cadence of the HPE and Round Robin reference schemes.
+///
+/// A returned [`TopoDecision::Reassign`] is executed immediately by the
+/// system (with its full overhead); schedulers may assume their
+/// decisions take effect.
 pub trait TopoScheduler {
     /// Human-readable scheme name (for reports).
     fn name(&self) -> &'static str;
@@ -322,70 +318,9 @@ pub trait TopoScheduler {
     fn reset(&mut self) {}
 }
 
-/// Adapter lifting a legacy dual-core [`Scheduler`] onto the generalized
-/// trait for 2-core/2-thread topologies: snapshots project down to
-/// [`WindowSnapshot`], and [`Decision::Swap`] lifts to exchanging the two
-/// threads.
-pub struct PairAdapter<S: Scheduler> {
-    inner: S,
-}
-
-impl<S: Scheduler> PairAdapter<S> {
-    /// Wrap a pair scheduler.
-    pub fn new(inner: S) -> Self {
-        PairAdapter { inner }
-    }
-
-    /// The wrapped scheduler.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    fn lift(&mut self, snap: &TopoSnapshot, decide: impl FnOnce(&mut S, &WindowSnapshot) -> Decision) -> TopoDecision {
-        let pair = snap
-            .pair_view()
-            .expect("PairAdapter requires a 2-core/2-thread topology");
-        match decide(&mut self.inner, &pair) {
-            Decision::Stay => TopoDecision::Stay,
-            Decision::Swap => {
-                let mut next = snap.assignment.clone();
-                next.swap_threads(0, 1);
-                TopoDecision::Reassign(next)
-            }
-        }
-    }
-}
-
-impl<S: Scheduler> TopoScheduler for PairAdapter<S> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn window_insts(&self) -> Option<u64> {
-        self.inner.window_insts()
-    }
-
-    fn on_window(&mut self, snap: &TopoSnapshot) -> TopoDecision {
-        self.lift(snap, |s, pair| s.on_window(pair))
-    }
-
-    fn on_epoch(&mut self, snap: &TopoSnapshot) -> TopoDecision {
-        self.lift(snap, |s, pair| s.on_epoch(pair))
-    }
-
-    fn explain_last(&self) -> Option<DecisionExplain> {
-        self.inner.explain_last()
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::PredictorSource;
 
     fn traits(index: usize, fp: bool) -> CoreTraits {
         CoreTraits {
@@ -453,57 +388,5 @@ mod tests {
         assert!(fp.affinity(5.0, 40.0) > int.affinity(5.0, 40.0));
         assert!(int.affinity(70.0, 2.0) > fp.affinity(70.0, 2.0));
         assert!(int.int_bias() > 0.0 && fp.int_bias() < 0.0);
-    }
-
-    struct SwapEveryWindow;
-    impl Scheduler for SwapEveryWindow {
-        fn name(&self) -> &'static str {
-            "swap-every-window"
-        }
-        fn window_insts(&self) -> Option<u64> {
-            Some(100)
-        }
-        fn on_window(&mut self, _snap: &WindowSnapshot) -> Decision {
-            Decision::Swap
-        }
-        fn explain_last(&self) -> Option<DecisionExplain> {
-            Some(DecisionExplain::from_source(PredictorSource::Interval))
-        }
-    }
-
-    #[test]
-    fn pair_adapter_lifts_swap_to_reassignment() {
-        let mut adapter = PairAdapter::new(SwapEveryWindow);
-        let snap = TopoSnapshot {
-            cycle: 7,
-            assignment: AssignmentMap::pair(false),
-            cores: vec![traits(0, true), traits(1, false)],
-            threads: vec![
-                TopoThreadObs {
-                    window: ThreadWindow::default(),
-                    total_instructions: 10,
-                    core: Some(0),
-                },
-                TopoThreadObs {
-                    window: ThreadWindow::default(),
-                    total_instructions: 20,
-                    core: Some(1),
-                },
-            ],
-        };
-        assert_eq!(adapter.name(), "swap-every-window");
-        assert_eq!(adapter.window_insts(), Some(100));
-        match adapter.on_window(&snap) {
-            TopoDecision::Reassign(next) => {
-                assert_eq!(next, AssignmentMap::pair(true));
-                assert!(TopoDecision::Reassign(next).changes(&snap.assignment));
-            }
-            d => panic!("expected a reassignment, got {d:?}"),
-        }
-        assert_eq!(
-            adapter.explain_last().map(|e| e.source),
-            Some(PredictorSource::Interval)
-        );
-        adapter.reset();
     }
 }

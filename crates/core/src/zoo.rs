@@ -1,19 +1,109 @@
-//! The generalized scheduler zoo: the paper's policies lifted to
-//! N-core × M-thread topologies, plus the comparison policies from the
-//! related work — Thread Progress Equalization (Turakhia et al.) and
-//! CAMP-style speedup-factor-ranked placement (the AMP scheduling
-//! survey).
+//! The scheduler zoo: the paper's policies on arbitrary N-core ×
+//! M-thread topologies, plus the comparison policies from the related
+//! work — Thread Progress Equalization (Turakhia et al.) and CAMP-style
+//! speedup-factor-ranked placement (the AMP scheduling survey). The
+//! paper's dual-core machine is the 2×2 case of the same code.
 //!
 //! All zoo members honor the [`TopoScheduler`] contracts: window
 //! decisions only permute running threads, park/unpark changes happen at
 //! epoch boundaries only, and every decision is a deterministic function
 //! of the snapshot stream.
 
+use crate::counters::ThreadWindow;
 use crate::history::MajorityVote;
-use crate::hpe::HpePredictor;
-use crate::proposed::ProposedConfig;
+use crate::hpe::{HpePredictor, SwapEstimate};
+use crate::rules::SwapRules;
 use crate::scheduler::{DecisionExplain, PredictorSource};
 use crate::topo::{AssignmentMap, CoreTraits, TopoDecision, TopoScheduler, TopoSnapshot};
+
+/// A flavour-contrasted pair of occupied cores: core `fp` leans less
+/// towards INT than core `int`, and both hold a thread whose window is
+/// given. On the paper's machine the only such pair is (FP core, INT
+/// core).
+pub(crate) struct CorePair<'a> {
+    /// Core in the FP role.
+    pub fp: usize,
+    /// Core in the INT role.
+    pub int: usize,
+    /// Window of the thread on the FP-role core.
+    pub on_fp: &'a ThreadWindow,
+    /// Window of the thread on the INT-role core.
+    pub on_int: &'a ThreadWindow,
+}
+
+/// Every flavour-contrasted occupied core pair, in ascending
+/// `(fp, int)` order.
+pub(crate) fn contrasted_pairs(snap: &TopoSnapshot) -> impl Iterator<Item = CorePair<'_>> {
+    let n = snap.cores.len();
+    (0..n).flat_map(move |i| (0..n).map(move |j| (i, j))).filter_map(move |(i, j)| {
+        if snap.cores[i].int_bias() >= snap.cores[j].int_bias() {
+            return None;
+        }
+        Some(CorePair {
+            fp: i,
+            int: j,
+            on_fp: &snap.on_core(i)?.window,
+            on_int: &snap.on_core(j)?.window,
+        })
+    })
+}
+
+/// Exchange the threads on cores `a` and `b`.
+pub(crate) fn swap_cores(snap: &TopoSnapshot, a: usize, b: usize) -> TopoDecision {
+    let mut next = snap.assignment.clone();
+    let (ta, tb) = (next.thread_on(a).unwrap(), next.thread_on(b).unwrap());
+    next.swap_threads(ta, tb);
+    TopoDecision::Reassign(next)
+}
+
+/// The history vote of Section VI-B over per-window tentative decisions,
+/// each either a core pair to swap or "stay". The paper acts on "the
+/// most frequent tentative decision" of the last n windows, so once a
+/// majority says swap, the last pair voted for is swapped even when the
+/// current window says stay — provided both its cores are still
+/// occupied.
+#[derive(Debug, Clone)]
+pub(crate) struct PairVote {
+    vote: MajorityVote,
+    last: Option<(usize, usize)>,
+}
+
+impl PairVote {
+    pub(crate) fn new(depth: usize) -> Self {
+        PairVote { vote: MajorityVote::new(depth), last: None }
+    }
+
+    /// Record one window's tentative decision.
+    pub(crate) fn push(&mut self, pair: Option<(usize, usize)>) {
+        self.vote.push(pair.is_some());
+        if pair.is_some() {
+            self.last = pair;
+        }
+    }
+
+    /// The pair to swap now, if the vote has a majority.
+    pub(crate) fn majority_pair(&self, snap: &TopoSnapshot) -> Option<(usize, usize)> {
+        let (a, b) = self.last.filter(|_| self.vote.majority())?;
+        let occupied = |c| snap.assignment.thread_on(c).is_some();
+        (occupied(a) && occupied(b)).then_some((a, b))
+    }
+
+    /// The vote tally for the audit trail.
+    pub(crate) fn explain(&self, source: PredictorSource) -> DecisionExplain {
+        DecisionExplain {
+            votes_for: Some(self.vote.yes_votes() as u32),
+            vote_depth: Some(self.vote.depth() as u32),
+            ..DecisionExplain::from_source(source)
+        }
+    }
+
+    /// Forget the history (after an executed swap the roles invert, so
+    /// stale votes would swap straight back).
+    pub(crate) fn clear(&mut self) {
+        self.vote.clear();
+        self.last = None;
+    }
+}
 
 /// Rank cores by `key` descending, ties broken by ascending index so
 /// rankings are deterministic for uniform topologies.
@@ -55,9 +145,9 @@ fn place_ranked(cores: usize, threads: usize, thread_order: &[usize], core_order
 }
 
 /// Cyclic slot rotation: thread slots are cores `0..N` followed by park
-/// slots; every thread advances one slot. For 2×2 this degenerates to
-/// the pair swap, so the lifted Round Robin matches the paper's.
-fn rotate_slots(current: &AssignmentMap) -> AssignmentMap {
+/// slots; every thread advances one slot. On 2×2 this is the paper's
+/// pair swap (pinned by `tests::rotation_cycles_all_threads_through_all_slots`).
+pub(crate) fn rotate_slots(current: &AssignmentMap) -> AssignmentMap {
     let cores = current.cores();
     let threads = current.threads();
     let slots = cores.max(threads);
@@ -86,7 +176,7 @@ fn rotate_slots(current: &AssignmentMap) -> AssignmentMap {
     AssignmentMap::from_core_of(cores, core_of)
 }
 
-/// Static placement lifted to N×M: keep the OS baseline forever.
+/// Static baseline: keep the OS's initial thread→core assignment forever.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TopoStatic;
 
@@ -96,9 +186,11 @@ impl TopoScheduler for TopoStatic {
     }
 }
 
-/// Round Robin lifted to N×M: every `interval_epochs` epochs all threads
-/// advance one slot through the cyclic core + park sequence, giving each
-/// thread equal time on every core (and off-core when oversubscribed).
+/// Round Robin reference scheme: every `interval_epochs` OS epochs all
+/// threads advance one slot through the cyclic core + park sequence,
+/// giving each thread equal time on every core (and off-core when
+/// oversubscribed). On the paper's machine this swaps the two threads;
+/// Section VII evaluates intervals of 1 and 2 epochs and finds 1 better.
 #[derive(Debug, Clone)]
 pub struct TopoRoundRobin {
     interval_epochs: u32,
@@ -147,17 +239,48 @@ impl TopoScheduler for TopoRoundRobin {
     }
 }
 
-/// The paper's proposed scheme lifted to N×M: per window, every
-/// flavor-contrasted pair of occupied cores is tested against the
-/// Figure 5 rules; a majority vote over tentative decisions issues the
-/// swap of the first beneficial pair. Oversubscribed topologies rotate
-/// parked threads in at every epoch (the step-3 fairness idea applied to
-/// the run queue).
+/// Tunables of the proposed scheme (paper defaults: window 1000,
+/// history 5 — the Figure 6 sensitivity optimum).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProposedConfig {
+    /// Monitoring window in committed instructions *per thread*.
+    pub window: u64,
+    /// History depth n for the majority vote.
+    pub history_depth: usize,
+    /// Swap rule thresholds (Figure 5).
+    pub rules: SwapRules,
+    /// Fairness-swap interval in cycles (2 ms = 4,000,000 @ 2 GHz).
+    pub fairness_interval_cycles: u64,
+}
+
+impl Default for ProposedConfig {
+    fn default() -> Self {
+        ProposedConfig {
+            window: 1000,
+            history_depth: 5,
+            rules: SwapRules::default(),
+            fairness_interval_cycles: 4_000_000,
+        }
+    }
+}
+
+/// The paper's proposed dynamic thread scheduling scheme (Section VI).
+///
+/// An online monitor samples the committed-instruction composition of
+/// every thread each `window` instructions per thread. Per window, every
+/// flavour-contrasted pair of occupied cores is tested against the
+/// Figure 5 rules, and the first beneficial pair is the window's
+/// tentative decision. A majority vote over the last `history_depth`
+/// tentative decisions (Section VI-B) issues the actual swap. If no swap
+/// has happened for a 2 ms epoch while a pair's threads have the same
+/// flavor, a fairness swap is forced (step 3 of Figure 5).
+/// Oversubscribed topologies rotate parked threads in at every epoch
+/// (the step-3 fairness idea applied to the run queue).
 #[derive(Debug, Clone)]
 pub struct TopoProposed {
     cfg: ProposedConfig,
     threads: usize,
-    vote: MajorityVote,
+    vote: PairVote,
     last_swap_cycle: u64,
     last_explain: Option<DecisionExplain>,
 }
@@ -166,7 +289,7 @@ impl TopoProposed {
     /// Build for a topology with `threads` threads.
     pub fn new(cfg: ProposedConfig, threads: usize) -> Self {
         TopoProposed {
-            vote: MajorityVote::new(cfg.history_depth),
+            vote: PairVote::new(cfg.history_depth),
             cfg,
             threads,
             last_swap_cycle: 0,
@@ -179,28 +302,19 @@ impl TopoProposed {
         Self::new(ProposedConfig::default(), threads)
     }
 
-    /// First flavor-contrasted occupied core pair `(fp_role, int_role)`
-    /// satisfying `test`, in ascending `(i, j)` order.
+    /// First flavour-contrasted occupied core pair `(fp_role, int_role)`
+    /// satisfying `test`.
     fn first_pair(
-        &self,
         snap: &TopoSnapshot,
-        test: impl Fn(&crate::ThreadWindow, &crate::ThreadWindow) -> bool,
+        test: impl Fn(&ThreadWindow, &ThreadWindow) -> bool,
     ) -> Option<(usize, usize)> {
-        let n = snap.cores.len();
-        for i in 0..n {
-            for j in 0..n {
-                if i == j || snap.cores[i].int_bias() >= snap.cores[j].int_bias() {
-                    continue;
-                }
-                let (Some(on_fp), Some(on_int)) = (snap.on_core(i), snap.on_core(j)) else {
-                    continue;
-                };
-                if test(&on_fp.window, &on_int.window) {
-                    return Some((i, j));
-                }
-            }
-        }
-        None
+        contrasted_pairs(snap).find(|p| test(p.on_fp, p.on_int)).map(|p| (p.fp, p.int))
+    }
+
+    fn swap(&mut self, snap: &TopoSnapshot, (a, b): (usize, usize)) -> TopoDecision {
+        self.vote.clear();
+        self.last_swap_cycle = snap.cycle;
+        swap_cores(snap, a, b)
     }
 }
 
@@ -215,43 +329,30 @@ impl TopoScheduler for TopoProposed {
     }
 
     fn on_window(&mut self, snap: &TopoSnapshot) -> TopoDecision {
-        let beneficial = self.first_pair(snap, |fp, int| self.cfg.rules.beneficial_swap(fp, int));
+        // Step 2: tentative decision from the composition rules, filtered
+        // through the history vote.
+        let rules = self.cfg.rules;
+        let beneficial = Self::first_pair(snap, |fp, int| rules.beneficial_swap(fp, int));
         ampsched_obs::counter!("sim.predictor.query.rules");
-        self.vote.push(beneficial.is_some());
-        self.last_explain = Some(DecisionExplain {
-            votes_for: Some(self.vote.yes_votes() as u32),
-            vote_depth: Some(self.vote.depth() as u32),
-            ..DecisionExplain::from_source(PredictorSource::Rules)
-        });
-        if self.vote.majority() {
-            if let Some((i, j)) = beneficial {
-                self.vote.clear();
-                self.last_swap_cycle = snap.cycle;
-                let mut next = snap.assignment.clone();
-                let (a, b) = (next.thread_on(i).unwrap(), next.thread_on(j).unwrap());
-                next.swap_threads(a, b);
-                return TopoDecision::Reassign(next);
-            }
+        self.vote.push(beneficial);
+        // Capture the vote state at decision time (before a swap clears
+        // the ring) for the audit trail.
+        self.last_explain = Some(self.vote.explain(PredictorSource::Rules));
+        if let Some(pair) = self.vote.majority_pair(snap) {
+            return self.swap(snap, pair);
         }
+        // Step 3: fairness swap for same-flavor pairs, at most once per
+        // 2 ms without a swap.
         if snap.cycle.saturating_sub(self.last_swap_cycle) >= self.cfg.fairness_interval_cycles {
-            if let Some((i, j)) = self.first_pair(snap, |fp, int| self.cfg.rules.fairness_swap(fp, int)) {
-                self.vote.clear();
-                self.last_swap_cycle = snap.cycle;
-                let mut next = snap.assignment.clone();
-                let (a, b) = (next.thread_on(i).unwrap(), next.thread_on(j).unwrap());
-                next.swap_threads(a, b);
-                return TopoDecision::Reassign(next);
+            if let Some(pair) = Self::first_pair(snap, |fp, int| rules.fairness_swap(fp, int)) {
+                return self.swap(snap, pair);
             }
         }
         TopoDecision::Stay
     }
 
     fn on_epoch(&mut self, snap: &TopoSnapshot) -> TopoDecision {
-        self.last_explain = Some(DecisionExplain {
-            votes_for: Some(self.vote.yes_votes() as u32),
-            vote_depth: Some(self.vote.depth() as u32),
-            ..DecisionExplain::from_source(PredictorSource::Rules)
-        });
+        self.last_explain = Some(self.vote.explain(PredictorSource::Rules));
         if snap.assignment.parked().is_empty() {
             TopoDecision::Stay
         } else {
@@ -271,39 +372,46 @@ impl TopoScheduler for TopoProposed {
     }
 }
 
-/// HPE lifted to N×M: each thread's profiled INT÷FP IPC/Watt ratio ranks
-/// it for INT-leaning cores; the ranked placement is adopted when its
-/// predicted score beats the current one by the paper's 1.05 threshold.
+/// The reference scheme: Hardware Monitoring and Prediction Engine (HPE)
+/// of Srinivasan et al. \[8\], extended to flavored cores per Section V.
+///
+/// Every 2 ms OS epoch the scheme estimates, from each thread's observed
+/// (%INT, %FP), the IPC/Watt it *would* achieve on the other core of a
+/// flavour-contrasted pair, using either the binned ratio **matrix**
+/// (Figure 3) or the fitted **regression surface** (Figure 4). The first
+/// pair whose estimated weighted speedup exceeds 1.05 (a 5% predicted
+/// gain) and whose swap is stable ([`TopoHpe::swap_is_stable`]) is
+/// swapped. When no pair swaps and threads are parked, the parked
+/// threads rotate in, as under [`TopoProposed`].
 #[derive(Debug, Clone)]
 pub struct TopoHpe {
     predictor: HpePredictor,
-    /// Minimum predicted score ratio to adopt a new placement.
+    /// Minimum estimated weighted speedup of the swapped configuration
+    /// for a swap to be issued (paper: 1.05).
     pub threshold: f64,
-    /// Last observed composition per thread (parked threads keep their
-    /// last running mix).
-    last_mix: Vec<(f64, f64)>,
     last_explain: Option<DecisionExplain>,
 }
 
 impl TopoHpe {
-    /// Build with the paper's 1.05 adoption threshold.
-    pub fn new(predictor: HpePredictor, threads: usize) -> Self {
-        TopoHpe {
-            predictor,
-            threshold: 1.05,
-            last_mix: vec![(0.0, 0.0); threads],
-            last_explain: None,
-        }
+    /// Build with the paper's 1.05 threshold.
+    pub fn new(predictor: HpePredictor) -> Self {
+        TopoHpe { predictor, threshold: 1.05, last_explain: None }
     }
 
-    fn score(&self, snap: &TopoSnapshot, map: &AssignmentMap, ratios: &[f64]) -> f64 {
-        let mut sum = 0.0;
-        for (t, &r) in ratios.iter().enumerate() {
-            if let Some(c) = map.core_of(t) {
-                sum += if snap.cores[c].int_bias() > 0.0 { r } else { 1.0 };
-            }
-        }
-        sum
+    /// Oscillation guard: is the swapped configuration *stable*?
+    ///
+    /// `(r + 1/r)/2 > 1` holds for any `r ≠ 1`, so for two threads of the
+    /// *same* flavor the naive weighted estimate says "swap" in both
+    /// directions forever — an artifact of extending the big/small-core
+    /// HPE formula to flavored cores. Srinivasan et al.'s scheme assigns
+    /// each thread to the core it is predicted to run best on (a
+    /// ranking), so equal threads never oscillate. We keep the paper's
+    /// weighted-speedup threshold but additionally require that, after
+    /// the swap, swapping *back* would not also look beneficial. The
+    /// guard queries the predictor afresh, so each swap-worthy estimate
+    /// counts four predictor queries.
+    pub fn swap_is_stable(&self, on_fp: &ThreadWindow, on_int: &ThreadWindow) -> bool {
+        self.predictor.swap_estimate(on_fp, on_int).is_stable()
     }
 }
 
@@ -316,30 +424,17 @@ impl TopoScheduler for TopoHpe {
     }
 
     fn on_epoch(&mut self, snap: &TopoSnapshot) -> TopoDecision {
-        for (t, obs) in snap.threads.iter().enumerate() {
-            if obs.window.instructions > 0 {
-                self.last_mix[t] = (obs.window.int_pct, obs.window.fp_pct);
-            }
-        }
-        let ratios: Vec<f64> = self
-            .last_mix
-            .iter()
-            .map(|&(int_pct, fp_pct)| self.predictor.predict_ratio(int_pct, fp_pct))
-            .collect();
-        let thread_order = threads_ranked_by(ratios.len(), true, |t| ratios[t]);
-        let core_order = cores_ranked_by(&snap.cores, |c| c.int_bias());
-        let next = place_ranked(snap.cores.len(), ratios.len(), &thread_order, &core_order);
-        let cur_score = self.score(snap, &snap.assignment, &ratios);
-        let new_score = self.score(snap, &next, &ratios);
-        let speedup = if cur_score > 0.0 { new_score / cur_score } else { 1.0 };
-        self.last_explain = Some(DecisionExplain {
-            predicted_speedup: Some(speedup),
-            ..DecisionExplain::from_source(self.predictor.source())
+        let (chosen, explain) = first_hpe_swap(&self.predictor, snap, self.threshold, |p, _| {
+            self.swap_is_stable(p.on_fp, p.on_int)
         });
-        if next != snap.assignment && speedup > self.threshold {
-            TopoDecision::Reassign(next)
-        } else {
-            TopoDecision::Stay
+        self.last_explain =
+            Some(explain.unwrap_or(DecisionExplain::from_source(self.predictor.source())));
+        match chosen {
+            Some((a, b)) => swap_cores(snap, a, b),
+            None if !snap.assignment.parked().is_empty() => {
+                TopoDecision::Reassign(rotate_slots(&snap.assignment))
+            }
+            None => TopoDecision::Stay,
         }
     }
 
@@ -348,11 +443,29 @@ impl TopoScheduler for TopoHpe {
     }
 
     fn reset(&mut self) {
-        for m in &mut self.last_mix {
-            *m = (0.0, 0.0);
-        }
         self.last_explain = None;
     }
+}
+
+/// HPE's pair test: the first flavour-contrasted core pair whose swap
+/// estimate clears `threshold` and passes `stable`, with the explanation
+/// of that estimate — or of the first pair tested when none does.
+pub(crate) fn first_hpe_swap(
+    predictor: &HpePredictor,
+    snap: &TopoSnapshot,
+    threshold: f64,
+    stable: impl Fn(&CorePair, &SwapEstimate) -> bool,
+) -> (Option<(usize, usize)>, Option<DecisionExplain>) {
+    let source = predictor.source();
+    let mut explain = None;
+    for p in contrasted_pairs(snap) {
+        let estimate = predictor.swap_estimate(p.on_fp, p.on_int);
+        explain.get_or_insert(estimate.explain(source));
+        if estimate.speedup > threshold && stable(&p, &estimate) {
+            return (Some((p.fp, p.int)), Some(estimate.explain(source)));
+        }
+    }
+    (None, explain)
 }
 
 /// Thread Progress Equalization (Turakhia et al.): at every epoch the
@@ -514,10 +627,11 @@ impl TopoScheduler for CampScheduler {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::hpe::tests::synthetic_points;
+    use crate::hpe::RatioMatrix;
     use crate::topo::TopoThreadObs;
-    use crate::ThreadWindow;
 
     fn traits(index: usize, fp: bool) -> CoreTraits {
         // The INT core is both INT-leaning and (slightly) stronger
@@ -558,6 +672,196 @@ mod tests {
             })
             .collect();
         TopoSnapshot { cycle: 50_000, assignment: map, cores, threads }
+    }
+
+    /// The paper's machine (core 0 FP, core 1 INT) in the baseline
+    /// assignment, with the compositions of the threads on each core.
+    pub(crate) fn duo(cycle: u64, fp_core_mix: (f64, f64), int_core_mix: (f64, f64)) -> TopoSnapshot {
+        let cores = vec![traits(0, true), traits(1, false)];
+        let threads = vec![
+            obs(fp_core_mix.0, fp_core_mix.1, 1000, 0, None),
+            obs(int_core_mix.0, int_core_mix.1, 1000, 0, None),
+        ];
+        TopoSnapshot { cycle, ..snapshot(cores, threads) }
+    }
+
+    fn hpe_matrix() -> TopoHpe {
+        TopoHpe::new(HpePredictor::Matrix(RatioMatrix::from_points(&synthetic_points())))
+    }
+
+    fn swaps(d: &TopoDecision) -> bool {
+        *d == TopoDecision::Reassign(AssignmentMap::pair(true))
+    }
+
+    #[test]
+    fn proposed_needs_history_depth_consistent_windows_to_swap() {
+        let mut s = TopoProposed::with_defaults(2);
+        // INT-heavy thread stuck on FP core, idle INT core: swap-worthy.
+        for i in 0..4 {
+            assert_eq!(
+                s.on_window(&duo(i * 1000, (60.0, 1.0), (20.0, 1.0))),
+                TopoDecision::Stay,
+                "vote must not fire before the ring fills"
+            );
+        }
+        assert!(swaps(&s.on_window(&duo(5000, (60.0, 1.0), (20.0, 1.0)))));
+    }
+
+    #[test]
+    fn proposed_acts_on_the_most_frequent_tentative_decision() {
+        // Ring y,y,y,n,n: the current window says stay, but three of the
+        // last five said swap, so the scheme swaps (Section VI-B).
+        let mut s = TopoProposed::with_defaults(2);
+        let want = (60.0, 1.0);
+        let neutral = (30.0, 10.0);
+        for (i, mix) in [want, want, want, neutral].into_iter().enumerate() {
+            assert_eq!(s.on_window(&duo(i as u64 * 1000, mix, (20.0, 1.0))), TopoDecision::Stay);
+        }
+        assert!(swaps(&s.on_window(&duo(4000, neutral, (20.0, 1.0)))));
+        assert_eq!(s.explain_last().and_then(|e| e.votes_for), Some(3));
+    }
+
+    #[test]
+    fn proposed_rechecks_the_remembered_pair_before_swapping() {
+        // FP core 0, INT cores 1 and 2, two threads. Three windows vote
+        // to swap cores (0, 1); then thread 1 sits on core 2 and core 1
+        // is idle, so the remembered pair can no longer swap.
+        let cores = vec![traits(0, true), traits(1, false), traits(2, false)];
+        let mut s = TopoProposed::with_defaults(2);
+        let voting = TopoSnapshot {
+            cycle: 0,
+            ..snapshot(cores.clone(), vec![obs(60.0, 1.0, 1000, 0, None), obs(20.0, 1.0, 1000, 0, None)])
+        };
+        for _ in 0..3 {
+            assert_eq!(s.on_window(&voting), TopoDecision::Stay);
+        }
+        let mut moved = snapshot(cores, vec![obs(30.0, 10.0, 1000, 0, None), obs(30.0, 10.0, 1000, 0, None)]);
+        moved.cycle = 0;
+        moved.assignment = AssignmentMap::from_core_of(3, vec![Some(0), Some(2)]);
+        assert_eq!(s.on_window(&moved), TopoDecision::Stay);
+        assert_eq!(s.on_window(&moved), TopoDecision::Stay);
+        assert_eq!(s.explain_last().and_then(|e| e.votes_for), Some(3), "the majority stands");
+    }
+
+    #[test]
+    fn proposed_filters_transient_phase_blips() {
+        let mut s = TopoProposed::with_defaults(2);
+        // Mostly neutral windows with occasional swap-worthy blips:
+        // a 2-in-5 pattern must never reach a majority.
+        for i in 0..50u64 {
+            let mix = if i % 5 < 2 { (60.0, 1.0) } else { (30.0, 10.0) };
+            assert_eq!(s.on_window(&duo(i * 1000, mix, (20.0, 1.0))), TopoDecision::Stay);
+        }
+    }
+
+    #[test]
+    fn proposed_fairness_swap_waits_out_the_interval() {
+        let mut s = TopoProposed::with_defaults(2);
+        // Both threads INT-heavy: the beneficial rule can never fire.
+        let fired_at = (0..6000u64)
+            .map(|i| i * 1000)
+            .find(|&cycle| swaps(&s.on_window(&duo(cycle, (60.0, 1.0), (65.0, 1.0)))))
+            .expect("fairness swap must eventually fire");
+        assert!(fired_at >= 4_000_000, "fairness must respect the 2 ms interval, fired at {fired_at}");
+    }
+
+    #[test]
+    fn proposed_leaves_well_placed_complementary_pairs_alone() {
+        let mut s = TopoProposed::with_defaults(2);
+        for i in 0..10_000u64 {
+            let d = s.on_window(&duo(i * 1000, (10.0, 30.0), (60.0, 1.0)));
+            assert_eq!(d, TopoDecision::Stay);
+        }
+    }
+
+    #[test]
+    fn proposed_follows_the_swapped_assignment() {
+        let mut s = TopoProposed::with_defaults(2);
+        // Thread 1 is INT-heavy and now on the FP core; thread 0 on the
+        // INT core is idle: swap-worthy.
+        let mut snap = duo(0, (20.0, 1.0), (60.0, 1.0));
+        snap.assignment = AssignmentMap::pair(true);
+        let mut decision = TopoDecision::Stay;
+        for i in 0..5 {
+            snap.cycle = i * 1000;
+            decision = s.on_window(&snap);
+        }
+        assert_eq!(decision, TopoDecision::Reassign(AssignmentMap::pair(false)));
+    }
+
+    #[test]
+    fn proposed_explains_the_vote_at_decision_time() {
+        let mut s = TopoProposed::with_defaults(2);
+        assert!(s.explain_last().is_none());
+        let _ = s.on_window(&duo(0, (60.0, 1.0), (20.0, 1.0)));
+        let e = s.explain_last().expect("explained after a decision");
+        assert_eq!(e.source, PredictorSource::Rules);
+        assert_eq!((e.votes_for, e.vote_depth), (Some(1), Some(5)));
+        // The swap clears the vote ring, but the explanation keeps the
+        // pre-clear tally.
+        for i in 1..5 {
+            let _ = s.on_window(&duo(i * 1000, (60.0, 1.0), (20.0, 1.0)));
+        }
+        assert_eq!(s.explain_last().and_then(|e| e.votes_for), Some(5));
+        s.reset();
+        assert!(s.explain_last().is_none());
+    }
+
+    #[test]
+    fn hpe_swaps_misplaced_complementary_pair() {
+        let mut hpe = hpe_matrix();
+        // INT-heavy thread on FP core, FP-heavy thread on INT core.
+        assert!(swaps(&hpe.on_epoch(&duo(0, (80.0, 2.0), (5.0, 60.0)))));
+        let e = hpe.explain_last().expect("explained after a decision");
+        assert_eq!(e.source, PredictorSource::Matrix);
+        assert!(e.predicted_speedup.unwrap() > 1.05);
+        assert!(e.ratio_on_fp.unwrap() > 1.0 && e.ratio_on_int.unwrap() < 1.0);
+        hpe.reset();
+        assert!(hpe.explain_last().is_none());
+    }
+
+    #[test]
+    fn hpe_keeps_well_placed_pair_and_blocks_marginal_swaps() {
+        let mut hpe = hpe_matrix();
+        assert_eq!(hpe.on_epoch(&duo(0, (5.0, 60.0), (80.0, 2.0))), TopoDecision::Stay);
+        // Neutral compositions: predicted speedup ≈ (r + 1/r)/2 ≈ 1.
+        let mut surface = TopoHpe::new(HpePredictor::Surface(crate::RatioSurface::from_points(
+            &synthetic_points(),
+        )));
+        assert_eq!(surface.on_epoch(&duo(0, (40.0, 10.0), (40.0, 10.0))), TopoDecision::Stay);
+    }
+
+    #[test]
+    fn hpe_same_flavor_pairs_do_not_oscillate() {
+        // Two INT-heavy threads: the naive weighted estimate is > 1.05 in
+        // both directions; the stability guard must block the swap.
+        let mut hpe = hpe_matrix();
+        let same_flavor = duo(0, (75.0, 1.0), (70.0, 2.0));
+        for _ in 0..10 {
+            assert_eq!(hpe.on_epoch(&same_flavor), TopoDecision::Stay);
+        }
+        assert!(hpe.explain_last().unwrap().predicted_speedup.unwrap() > 1.05);
+    }
+
+    #[test]
+    fn hpe_swaps_the_first_misplaced_pair_of_a_larger_machine() {
+        // FP, INT, FP, INT cores: threads 2 (INT-heavy, on FP core 2)
+        // and 3 (FP-heavy, on INT core 3) are misplaced; 0 and 1 are not.
+        let cores = vec![traits(0, true), traits(1, false), traits(2, true), traits(3, false)];
+        let snap = snapshot(
+            cores,
+            vec![
+                obs(5.0, 60.0, 1000, 0, None),
+                obs(80.0, 2.0, 1000, 0, None),
+                obs(80.0, 2.0, 1000, 0, None),
+                obs(5.0, 60.0, 1000, 0, None),
+            ],
+        );
+        let mut hpe = hpe_matrix();
+        let TopoDecision::Reassign(next) = hpe.on_epoch(&snap) else {
+            panic!("a misplaced pair must swap")
+        };
+        assert_eq!(next.moved_threads(&snap.assignment), vec![2, 3]);
     }
 
     #[test]
@@ -683,6 +987,16 @@ mod tests {
         let mut rr2 = TopoRoundRobin::new(2);
         assert_eq!(rr2.on_epoch(&snap), TopoDecision::Stay);
         assert!(matches!(rr2.on_epoch(&snap), TopoDecision::Reassign(_)));
+        // Reset restarts the period.
+        let _ = rr2.on_epoch(&snap);
+        rr2.reset();
+        assert_eq!(rr2.on_epoch(&snap), TopoDecision::Stay);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one")]
+    fn topo_round_robin_rejects_a_zero_interval() {
+        TopoRoundRobin::new(0);
     }
 
     #[test]
@@ -690,7 +1004,9 @@ mod tests {
         let cores = vec![traits(0, true), traits(1, false)];
         let snap = snapshot(cores, vec![obs(80.0, 1.0, 1000, 0, None), obs(5.0, 60.0, 1000, 0, None)]);
         let mut s = TopoStatic;
+        assert_eq!(s.window_insts(), None);
         assert_eq!(s.on_window(&snap), TopoDecision::Stay);
         assert_eq!(s.on_epoch(&snap), TopoDecision::Stay);
+        assert_eq!(s.explain_last(), None);
     }
 }

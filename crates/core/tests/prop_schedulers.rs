@@ -1,11 +1,13 @@
-//! Property tests: every scheduler is total (never panics), bounded in
+//! Property tests on the paper's dual-core machine (FP core 0, INT core
+//! 1, two threads): every scheduler is total (never panics), bounded in
 //! its swap rate, and deterministic over arbitrary counter sequences.
 //! Runs on the in-tree `util::check` harness with a fixed seed.
 
 use ampsched_core::{
-    Assignment, Decision, ExtendedScheduler, HpePredictor, HpeScheduler, MatrixFineScheduler,
-    ProfilePoint, ProposedScheduler, RatioMatrix, RatioSurface, RoundRobinScheduler, Scheduler,
-    StaticScheduler, ThreadWindow, WindowSnapshot,
+    AssignmentMap, CoreTraits, ExtendedScheduler, HpePredictor, MatrixFineScheduler,
+    ProfilePoint, ProposedConfig, RatioMatrix, RatioSurface, SamplingScheduler, ThreadWindow, TopoDecision,
+    TopoHpe, TopoProposed, TopoRoundRobin, TopoScheduler, TopoSnapshot, TopoStatic,
+    TopoThreadObs,
 };
 use ampsched_util::check::{Checker, Source};
 use ampsched_util::{prop_assert, prop_assert_eq};
@@ -52,32 +54,71 @@ fn arb_window(s: &mut Source) -> ThreadWindow {
     }
 }
 
-fn arb_snapshot(s: &mut Source) -> WindowSnapshot {
+fn duo_core(index: usize, fp: bool) -> CoreTraits {
+    CoreTraits {
+        index,
+        fp_flavored: fp,
+        frequency_ghz: 2.0,
+        int_throughput: if fp { 2.0 } else { 6.0 },
+        fp_throughput: if fp { 4.0 } else { 1.0 },
+        dispatch_width: 2,
+    }
+}
+
+/// A dual-core snapshot with the given thread windows and assignment.
+fn duo_snapshot(cycle: u64, assignment: AssignmentMap, windows: [ThreadWindow; 2]) -> TopoSnapshot {
+    TopoSnapshot {
+        cycle,
+        cores: vec![duo_core(0, true), duo_core(1, false)],
+        threads: windows
+            .iter()
+            .enumerate()
+            .map(|(t, &window)| TopoThreadObs {
+                window,
+                total_instructions: 0,
+                core: assignment.core_of(t),
+            })
+            .collect(),
+        assignment,
+    }
+}
+
+fn arb_snapshot(s: &mut Source) -> TopoSnapshot {
     let t0 = arb_window(s);
     let t1 = arb_window(s);
     let cycle = s.u64_in(0, 100_000_000);
     let swapped = s.bool();
-    WindowSnapshot {
-        cycle,
-        assignment: Assignment { swapped },
-        threads: [t0, t1],
-    }
+    duo_snapshot(cycle, AssignmentMap::pair(swapped), [t0, t1])
 }
 
-fn all_schedulers() -> Vec<Box<dyn Scheduler>> {
+fn all_schedulers() -> Vec<Box<dyn TopoScheduler>> {
     let pts = predictor_points();
     let matrix = RatioMatrix::from_points(&pts);
     let surface = RatioSurface::from_points(&pts);
     vec![
-        Box::new(StaticScheduler),
-        Box::new(RoundRobinScheduler::every_epoch()),
-        Box::new(RoundRobinScheduler::new(2)),
-        Box::new(HpeScheduler::new(HpePredictor::Matrix(matrix.clone()))),
-        Box::new(HpeScheduler::new(HpePredictor::Surface(surface))),
-        Box::new(MatrixFineScheduler::new(HpePredictor::Matrix(matrix))),
-        Box::new(ProposedScheduler::with_defaults()),
-        Box::new(ExtendedScheduler::with_defaults()),
+        Box::new(TopoStatic),
+        Box::new(TopoRoundRobin::every_epoch()),
+        Box::new(TopoRoundRobin::new(2)),
+        Box::new(TopoHpe::new(HpePredictor::Matrix(matrix.clone()))),
+        Box::new(TopoHpe::new(HpePredictor::Surface(surface))),
+        Box::new(MatrixFineScheduler::new(HpePredictor::Matrix(matrix), 2)),
+        Box::new(TopoProposed::with_defaults(2)),
+        Box::new(ExtendedScheduler::with_defaults(2)),
+        Box::new(SamplingScheduler::new(2)),
     ]
+}
+
+/// Whether a decision on a dual-core snapshot is a valid outcome: stay,
+/// or move to one of the two dual-core assignments.
+fn is_pair_decision(d: &TopoDecision) -> bool {
+    match d {
+        TopoDecision::Stay => true,
+        TopoDecision::Reassign(next) => next.as_pair().is_some(),
+    }
+}
+
+fn swaps(d: &TopoDecision, snap: &TopoSnapshot) -> bool {
+    d.changes(&snap.assignment)
 }
 
 /// No scheduler panics or returns garbage on any snapshot sequence,
@@ -89,16 +130,16 @@ fn schedulers_are_total_and_resettable() {
         |s: &mut Source| s.vec_with(1, 59, arb_snapshot),
         |snaps| {
             for sched in &mut all_schedulers() {
-                let mut first: Vec<Decision> = Vec::with_capacity(snaps.len());
+                let mut first: Vec<TopoDecision> = Vec::with_capacity(snaps.len());
                 for s in snaps {
                     let dw = sched.on_window(s);
                     let de = sched.on_epoch(s);
-                    prop_assert!(matches!(dw, Decision::Stay | Decision::Swap));
-                    prop_assert!(matches!(de, Decision::Stay | Decision::Swap));
+                    prop_assert!(is_pair_decision(&dw));
+                    prop_assert!(is_pair_decision(&de));
                     first.push(dw);
                 }
                 sched.reset();
-                let second: Vec<Decision> = snaps
+                let second: Vec<TopoDecision> = snaps
                     .iter()
                     .map(|s| {
                         let dw = sched.on_window(s);
@@ -126,20 +167,20 @@ fn proposed_swap_rate_bounded_by_history() {
         "proposed_swap_rate_bounded_by_history",
         |s: &mut Source| s.vec_with(20, 119, arb_snapshot),
         |snaps| {
-            let mut sched = ProposedScheduler::with_defaults();
-            let depth = sched.config().history_depth as u64;
-            let mut swaps = 0u64;
+            let mut sched = TopoProposed::with_defaults(2);
+            let depth = ProposedConfig::default().history_depth as u64;
+            let mut count = 0u64;
             for s in snaps {
                 // Keep fairness out of the picture: short-cycle snapshots.
-                let mut s = *s;
+                let mut s = s.clone();
                 s.cycle %= 1_000_000;
-                if sched.on_window(&s) == Decision::Swap {
-                    swaps += 1;
+                if swaps(&sched.on_window(&s), &s) {
+                    count += 1;
                 }
             }
             prop_assert!(
-                swaps <= snaps.len() as u64 / depth + 1,
-                "{swaps} swaps in {} windows exceeds the vote-ring bound",
+                count <= snaps.len() as u64 / depth + 1,
+                "{count} swaps in {} windows exceeds the vote-ring bound",
                 snaps.len()
             );
             Ok(())
@@ -157,23 +198,19 @@ fn hpe_cannot_ping_pong_on_stationary_compositions() {
         |s: &mut Source| (arb_window(s), arb_window(s)),
         |(t0, t1)| {
             let pts = predictor_points();
-            let mut hpe = HpeScheduler::new(HpePredictor::Matrix(RatioMatrix::from_points(&pts)));
-            let mut assignment = Assignment::default();
-            let mut swaps = 0;
+            let mut hpe = TopoHpe::new(HpePredictor::Matrix(RatioMatrix::from_points(&pts)));
+            let mut assignment = AssignmentMap::pair(false);
+            let mut count = 0;
             for cycle in 0..20u64 {
-                let snap = WindowSnapshot {
-                    cycle: cycle * 4_000_000,
-                    assignment,
-                    threads: [*t0, *t1],
-                };
-                if hpe.on_epoch(&snap) == Decision::Swap {
-                    swaps += 1;
-                    assignment = assignment.toggled();
+                let snap = duo_snapshot(cycle * 4_000_000, assignment.clone(), [*t0, *t1]);
+                if let TopoDecision::Reassign(next) = hpe.on_epoch(&snap) {
+                    count += 1;
+                    assignment = next;
                 }
             }
             prop_assert!(
-                swaps <= 1,
-                "stationary compositions must produce at most one swap, got {swaps}"
+                count <= 1,
+                "stationary compositions must produce at most one swap, got {count}"
             );
             Ok(())
         },
@@ -192,14 +229,14 @@ fn round_robin_counts_exactly() {
             (n_epochs, interval, snap)
         },
         |(n_epochs, interval, snap)| {
-            let mut rr = RoundRobinScheduler::new(*interval);
-            let mut swaps = 0u32;
+            let mut rr = TopoRoundRobin::new(*interval);
+            let mut count = 0u32;
             for _ in 0..*n_epochs {
-                if rr.on_epoch(snap) == Decision::Swap {
-                    swaps += 1;
+                if swaps(&rr.on_epoch(snap), snap) {
+                    count += 1;
                 }
             }
-            prop_assert_eq!(swaps, n_epochs / interval);
+            prop_assert_eq!(count, n_epochs / interval);
             Ok(())
         },
     );

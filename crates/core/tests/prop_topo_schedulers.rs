@@ -16,9 +16,10 @@
 //! shapes shrink and persist to `results/corpus/core_topo_schedulers.json`.
 
 use ampsched_core::{
-    AssignmentMap, CampScheduler, CoreTraits, HpePredictor, OracleScheduler, ProfilePoint,
-    RatioMatrix, ReplaySchedule, ThreadWindow, TopoDecision, TopoHpe, TopoProposed,
-    TopoRoundRobin, TopoScheduler, TopoSnapshot, TopoStatic, TopoThreadObs, TpeScheduler,
+    AssignmentMap, CampScheduler, CoreTraits, ExtendedScheduler, HpePredictor,
+    MatrixFineScheduler, OracleScheduler, ProfilePoint, RatioMatrix, ReplaySchedule,
+    SamplingScheduler, ThreadWindow, TopoDecision, TopoHpe, TopoProposed, TopoRoundRobin,
+    TopoScheduler, TopoSnapshot, TopoStatic, TopoThreadObs, TpeScheduler,
 };
 use ampsched_util::check::{Checker, Source};
 use ampsched_util::{prop_assert, prop_assert_eq};
@@ -54,7 +55,10 @@ fn zoo(threads: usize) -> Vec<Box<dyn TopoScheduler>> {
         Box::new(TopoRoundRobin::every_epoch()),
         Box::new(TopoRoundRobin::new(3)),
         Box::new(TopoProposed::with_defaults(threads)),
-        Box::new(TopoHpe::new(HpePredictor::Matrix(matrix), threads)),
+        Box::new(TopoHpe::new(HpePredictor::Matrix(matrix.clone()))),
+        Box::new(MatrixFineScheduler::new(HpePredictor::Matrix(matrix), threads)),
+        Box::new(ExtendedScheduler::with_defaults(threads)),
+        Box::new(SamplingScheduler::new(2)),
         Box::new(TpeScheduler::new()),
         Box::new(CampScheduler::camp_static(threads)),
         Box::new(CampScheduler::camp_dynamic(threads)),

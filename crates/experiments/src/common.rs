@@ -2,9 +2,8 @@
 //! scheduler construction.
 
 use ampsched_core::{
-    CampScheduler, ExtendedConfig, ExtendedScheduler, HpePredictor, HpeScheduler,
-    MatrixFineScheduler, OracleScheduler, PairAdapter, ProposedConfig, ProposedScheduler,
-    ReplaySchedule, RoundRobinScheduler, SamplingScheduler, Scheduler, StaticScheduler, TopoHpe,
+    CampScheduler, ExtendedConfig, ExtendedScheduler, HpePredictor, MatrixFineScheduler,
+    OracleScheduler, ProposedConfig, ReplaySchedule, SamplingScheduler, Scheduler, TopoHpe,
     TopoProposed, TopoRoundRobin, TopoScheduler, TopoStatic, TpeScheduler,
 };
 use ampsched_system::{DualCoreSystem, RunResult, SystemConfig};
@@ -143,15 +142,15 @@ pub enum SchedKind {
     /// Becchi-style forced-swap sampling every `k` epochs.
     Sampling(u32),
     /// Thread Progress Equalization (Turakhia et al.): laggards onto the
-    /// strongest cores at every epoch. N×M only.
+    /// strongest cores at every epoch.
     Tpe,
     /// CAMP-style one-shot affinity placement from the first epoch's
-    /// observed compositions. N×M only.
+    /// observed compositions.
     CampStatic,
-    /// CAMP-style affinity placement re-ranked at every epoch. N×M only.
+    /// CAMP-style affinity placement re-ranked at every epoch.
     CampDynamic,
     /// Clairvoyant oracle: replays the precomputed optimal schedule (see
-    /// `ampsched_core::oracle` and the `regret` experiment). N×M only.
+    /// `ampsched_core::oracle` and the `regret` experiment).
     Oracle(ReplaySchedule),
 }
 
@@ -177,44 +176,14 @@ impl SchedKind {
         })
     }
 
-    /// Instantiate the scheduler. `predictors` supplies the profiled
-    /// matrix and surface for the HPE variants.
-    ///
-    /// # Panics
-    /// Panics for the N×M-only kinds ([`SchedKind::Tpe`],
-    /// [`SchedKind::CampStatic`], [`SchedKind::CampDynamic`]) — those
-    /// have no pair form; use [`SchedKind::build_topo`].
+    /// Instantiate the scheduler for the paper's dual-core machine.
+    /// `predictors` supplies the profiled matrix and surface for the
+    /// HPE-derived kinds.
     pub fn build(&self, predictors: &Predictors) -> Box<dyn Scheduler> {
-        match self {
-            SchedKind::Proposed(cfg) => Box::new(ProposedScheduler::new(*cfg)),
-            SchedKind::HpeMatrix => Box::new(HpeScheduler::new(HpePredictor::Matrix(
-                predictors.matrix.clone(),
-            ))),
-            SchedKind::HpeSurface => Box::new(HpeScheduler::new(HpePredictor::Surface(
-                predictors.surface.clone(),
-            ))),
-            SchedKind::RoundRobin(k) => Box::new(RoundRobinScheduler::new(*k)),
-            SchedKind::Static => Box::new(StaticScheduler),
-            SchedKind::MatrixFine => Box::new(MatrixFineScheduler::new(HpePredictor::Matrix(
-                predictors.matrix.clone(),
-            ))),
-            SchedKind::Extended(cfg) => Box::new(ExtendedScheduler::new(*cfg)),
-            SchedKind::Sampling(k) => Box::new(SamplingScheduler::new(*k)),
-            SchedKind::Tpe | SchedKind::CampStatic | SchedKind::CampDynamic
-            | SchedKind::Oracle(_) => {
-                panic!("{self:?} is an N×M scheduler with no pair form; use build_topo")
-            }
-        }
+        self.build_topo(2, Some(predictors))
     }
 
-    /// Instantiate the generalized (N-core × M-thread) form of this
-    /// scheme for a topology running `threads` threads.
-    ///
-    /// The zoo schemes (Proposed, HPE, Round Robin, Static, TPE, CAMP)
-    /// are natively topology-shaped. The remaining pair-only ablation
-    /// schemes (MatrixFine, Extended, Sampling) are lifted through a
-    /// [`PairAdapter`], which restricts them to 2-core × 2-thread
-    /// topologies (the adapter panics on any other shape).
+    /// Instantiate this scheme for a topology running `threads` threads.
     ///
     /// `predictors` is only consulted by the HPE-derived kinds; pass
     /// `None` for the predictor-free zoo (everything the `scaling`
@@ -227,27 +196,24 @@ impl SchedKind {
         let preds = || predictors.expect("this scheduler kind needs profiled predictors");
         match self {
             SchedKind::Proposed(cfg) => Box::new(TopoProposed::new(*cfg, threads)),
-            SchedKind::HpeMatrix => Box::new(TopoHpe::new(
+            SchedKind::HpeMatrix => {
+                Box::new(TopoHpe::new(HpePredictor::Matrix(preds().matrix.clone())))
+            }
+            SchedKind::HpeSurface => {
+                Box::new(TopoHpe::new(HpePredictor::Surface(preds().surface.clone())))
+            }
+            SchedKind::RoundRobin(k) => Box::new(TopoRoundRobin::new(*k)),
+            SchedKind::Static => Box::new(TopoStatic),
+            SchedKind::MatrixFine => Box::new(MatrixFineScheduler::new(
                 HpePredictor::Matrix(preds().matrix.clone()),
                 threads,
             )),
-            SchedKind::HpeSurface => Box::new(TopoHpe::new(
-                HpePredictor::Surface(preds().surface.clone()),
-                threads,
-            )),
-            SchedKind::RoundRobin(k) => Box::new(TopoRoundRobin::new(*k)),
-            SchedKind::Static => Box::new(TopoStatic),
+            SchedKind::Extended(cfg) => Box::new(ExtendedScheduler::new(*cfg, threads)),
+            SchedKind::Sampling(k) => Box::new(SamplingScheduler::new(*k)),
             SchedKind::Tpe => Box::new(TpeScheduler::new()),
             SchedKind::CampStatic => Box::new(CampScheduler::camp_static(threads)),
             SchedKind::CampDynamic => Box::new(CampScheduler::camp_dynamic(threads)),
             SchedKind::Oracle(schedule) => Box::new(OracleScheduler::new(schedule.clone())),
-            SchedKind::MatrixFine => Box::new(PairAdapter::new(self.build(preds()))),
-            SchedKind::Extended(cfg) => Box::new(PairAdapter::new(
-                Box::new(ExtendedScheduler::new(*cfg)) as Box<dyn Scheduler>,
-            )),
-            SchedKind::Sampling(k) => Box::new(PairAdapter::new(
-                Box::new(SamplingScheduler::new(*k)) as Box<dyn Scheduler>,
-            )),
         }
     }
 }

@@ -4,14 +4,14 @@
 //!
 //! The scheduling loop itself lives in [`crate::topo`]; this module pins
 //! the paper's shape ([`Topology::duo`]: FP core 0, INT core 1, two
-//! threads), adapts pair [`Scheduler`]s through
-//! [`PairAdapter`], and re-exposes the original pair-typed result
-//! structures. The facade is pure projection — no arithmetic is redone —
-//! so every experiment and golden built on [`DualCoreSystem`] is
-//! byte-identical to the pre-generalization loop (enforced by the
-//! compatibility and differential suites).
+//! threads), hands the [`Scheduler`] straight to that loop, and
+//! re-exposes the original pair-typed result structures. The facade is
+//! pure projection — no arithmetic is redone — so every experiment and
+//! golden built on [`DualCoreSystem`] is byte-identical to the
+//! pre-generalization loop (enforced by the compatibility and
+//! differential suites).
 
-use ampsched_core::{Assignment, DecisionExplain, PairAdapter, Scheduler};
+use ampsched_core::{Assignment, DecisionExplain, Scheduler};
 use ampsched_mem::MemConfig;
 use ampsched_metrics::ThreadMetrics;
 use ampsched_trace::Workload;
@@ -164,7 +164,8 @@ impl RunResult {
         [self.threads[0].ipc_per_watt(), self.threads[1].ipc_per_watt()]
     }
 
-    /// Fraction of window decision points that issued a swap.
+    /// Fraction of all decision points, window and epoch, that issued a
+    /// swap.
     pub fn swap_rate(&self) -> f64 {
         let points = self.window_decisions + self.epoch_decisions;
         if points == 0 {
@@ -284,15 +285,14 @@ impl DualCoreSystem {
         target_insts: u64,
         max_cycles: u64,
     ) -> RunResult {
-        let mut adapter = PairAdapter::new(scheduler);
-        pair_result(self.inner.run(&mut adapter, target_insts, max_cycles))
+        pair_result(self.inner.run(scheduler, target_insts, max_cycles))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampsched_core::{ProposedScheduler, RoundRobinScheduler, StaticScheduler};
+    use ampsched_core::{TopoProposed, TopoRoundRobin, TopoStatic};
     use ampsched_trace::{suite, TraceGenerator};
 
     fn workload(name: &str, thread: usize) -> Box<dyn Workload> {
@@ -316,7 +316,7 @@ mod tests {
             quick_cfg(),
             [workload("intstress", 0), workload("fpstress", 1)],
         );
-        let mut sched = StaticScheduler;
+        let mut sched = TopoStatic;
         let r = sys.run(&mut sched, 50_000, 10_000_000);
         assert!(r.threads[0].instructions >= 50_000 || r.threads[1].instructions >= 50_000);
         assert!(r.threads[0].joules > 0.0 && r.threads[1].joules > 0.0);
@@ -334,7 +334,7 @@ mod tests {
             quick_cfg(),
             [workload("intstress", 0), workload("fpstress", 1)],
         );
-        let mut sched = ProposedScheduler::with_defaults();
+        let mut sched = TopoProposed::with_defaults(2);
         let r = sys.run(&mut sched, 100_000, 10_000_000);
         assert!(r.swaps >= 1, "misplacement must trigger a swap");
         assert_eq!(
@@ -353,10 +353,10 @@ mod tests {
                 [workload("intstress", 0), workload("fpstress", 1)],
             );
             if swap {
-                let mut s = ProposedScheduler::with_defaults();
+                let mut s = TopoProposed::with_defaults(2);
                 sys.run(&mut s, 200_000, 20_000_000)
             } else {
-                let mut s = StaticScheduler;
+                let mut s = TopoStatic;
                 sys.run(&mut s, 200_000, 20_000_000)
             }
         };
@@ -378,7 +378,7 @@ mod tests {
             quick_cfg(),
             [workload("gcc", 0), workload("mcf", 1)],
         );
-        let mut sched = RoundRobinScheduler::every_epoch();
+        let mut sched = TopoRoundRobin::every_epoch();
         let r = sys.run(&mut sched, 300_000, 1_050_000);
         // ~10 epochs in 1.05M cycles at 100k epoch.
         assert!(r.swaps >= 8, "RR must swap nearly every epoch, got {}", r.swaps);
@@ -397,7 +397,7 @@ mod tests {
                 cfg,
                 [workload("gcc", 0), workload("mcf", 1)],
             );
-            let mut sched = RoundRobinScheduler::every_epoch();
+            let mut sched = TopoRoundRobin::every_epoch();
             sys.run(&mut sched, 150_000, 3_000_000)
         };
         let cheap = run_with_overhead(100);
@@ -416,7 +416,7 @@ mod tests {
             quick_cfg(),
             [workload("pi", 0), workload("sha", 1)],
         );
-        let mut sched = RoundRobinScheduler::every_epoch();
+        let mut sched = TopoRoundRobin::every_epoch();
         let r = sys.run(&mut sched, 100_000, 2_000_000);
         let attributed: f64 = r.threads.iter().map(|t| t.joules).sum();
         let accounted = sys.accounted_joules();
@@ -433,7 +433,7 @@ mod tests {
                 quick_cfg(),
                 [workload("equake", 0), workload("bitcount", 1)],
             );
-            let mut sched = ProposedScheduler::with_defaults();
+            let mut sched = TopoProposed::with_defaults(2);
             sys.run(&mut sched, 100_000, 5_000_000)
         };
         let a = run();
@@ -450,7 +450,7 @@ mod tests {
             quick_cfg(),
             [workload("intstress", 0), workload("fpstress", 1)],
         );
-        let mut sched = ProposedScheduler::with_defaults();
+        let mut sched = TopoProposed::with_defaults(2);
         let r = sys.run(&mut sched, 100_000, 10_000_000);
         assert!(!r.decisions.is_empty());
         for d in &r.decisions {
@@ -484,7 +484,7 @@ mod tests {
             quick_cfg(),
             [workload("fpstress", 0), workload("intstress", 1)],
         );
-        let mut sched = ProposedScheduler::with_defaults();
+        let mut sched = TopoProposed::with_defaults(2);
         let r = sys.run(&mut sched, 100_000, 10_000_000);
         assert_eq!(r.swaps, 0, "no reason to disturb a well-placed pair");
     }

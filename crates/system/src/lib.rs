@@ -17,8 +17,7 @@
 //! [`DualCoreSystem`] is the paper's fixed shape — one FP-flavored core
 //! (core 0, Figure 1's "core A") and one INT-flavored core (core 1,
 //! "core B"), two threads — as a thin facade over [`MulticoreSystem`]
-//! that adapts pair [`ampsched_core::Scheduler`]s and keeps the original
-//! pair-typed results byte-identical.
+//! that keeps the original pair-typed results byte-identical.
 //!
 //! [`SingleCoreRunner`] runs one workload alone on one core type with
 //! periodic interval sampling — the substrate for Figure 1 and the

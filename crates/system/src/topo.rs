@@ -9,8 +9,7 @@
 //!
 //! The paper's fixed shapes are thin constructors over this machine:
 //! [`DualCoreSystem`](crate::DualCoreSystem) is `Topology::duo()` driven
-//! through a [`PairAdapter`](ampsched_core::PairAdapter), and its
-//! byte-for-byte behavior is locked
+//! by the same schedulers, and its byte-for-byte behavior is locked
 //! by the compatibility and differential suites. The loop below is a
 //! line-by-line generalization of the frozen duo loop — arithmetic
 //! order, counter cadence, and profiler cadence are deliberately

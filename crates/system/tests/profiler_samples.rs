@@ -9,7 +9,7 @@
 //! doubles as another differential check on the fast path, since a
 //! divergent snapshot means divergent microarchitectural state.
 
-use ampsched_core::RoundRobinScheduler;
+use ampsched_core::TopoRoundRobin;
 use ampsched_cpu::{CoreConfig, STALL_CAUSE_NAMES};
 use ampsched_mem::MemConfig;
 use ampsched_obs::profiler::{self, PipeSample};
@@ -46,7 +46,7 @@ fn duo_stream(sim_path: SimPath) -> Vec<PipeSample> {
         },
         pair("gcc", "equake", 7),
     );
-    let mut sched = RoundRobinScheduler::every_epoch();
+    let mut sched = TopoRoundRobin::every_epoch();
     sys.run(&mut sched, u64::MAX / 2, 100_000);
     assert!(sys.swaps() > 0, "horizon must cross at least one swap");
     profiler::snapshot()

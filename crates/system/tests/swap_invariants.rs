@@ -1,9 +1,7 @@
 //! System-level invariants of the swap machinery and the extension
 //! schedulers, exercised end-to-end.
 
-use ampsched_core::{
-    ExtendedScheduler, ProposedScheduler, RoundRobinScheduler, SamplingScheduler,
-};
+use ampsched_core::{ExtendedScheduler, SamplingScheduler, TopoProposed, TopoRoundRobin};
 use ampsched_system::{DualCoreSystem, SystemConfig};
 use ampsched_trace::{suite, TraceGenerator, Workload};
 
@@ -32,7 +30,7 @@ fn cfg(epoch: u64) -> SystemConfig {
 #[test]
 fn assignment_parity_tracks_swap_count() {
     let mut sys = DualCoreSystem::new(cfg(80_000), pair("gzip", "apsi", 3));
-    let mut sched = RoundRobinScheduler::every_epoch();
+    let mut sched = TopoRoundRobin::every_epoch();
     let r = sys.run(&mut sched, 400_000, 30_000_000);
     assert!(r.swaps > 0);
     assert_eq!(
@@ -76,10 +74,10 @@ fn extended_scheduler_swaps_healthy_pairs_like_proposed() {
     let run = |extended: bool| {
         let mut sys = DualCoreSystem::new(cfg(100_000), pair("intstress", "fpstress", 8));
         if extended {
-            let mut s = ExtendedScheduler::with_defaults();
+            let mut s = ExtendedScheduler::with_defaults(2);
             sys.run(&mut s, 300_000, 30_000_000)
         } else {
-            let mut s = ProposedScheduler::with_defaults();
+            let mut s = TopoProposed::with_defaults(2);
             sys.run(&mut s, 300_000, 30_000_000)
         }
     };
@@ -97,13 +95,13 @@ fn extended_scheduler_vetoes_swaps_for_memory_bound_pairs() {
     // memstress is >60% memory ops: composition-driven swaps get vetoed.
     let run_ext = || {
         let mut sys = DualCoreSystem::new(cfg(100_000), pair("memstress", "fpstress", 9));
-        let mut s = ExtendedScheduler::with_defaults();
+        let mut s = ExtendedScheduler::with_defaults(2);
         let r = sys.run(&mut s, 300_000, 60_000_000);
         (r, s.mem_vetoes + s.ipc_vetoes)
     };
     let run_prop = || {
         let mut sys = DualCoreSystem::new(cfg(100_000), pair("memstress", "fpstress", 9));
-        let mut s = ProposedScheduler::with_defaults();
+        let mut s = TopoProposed::with_defaults(2);
         sys.run(&mut s, 300_000, 60_000_000)
     };
     let (ext, _vetoes) = run_ext();
@@ -127,7 +125,7 @@ fn destructive_l1_flush_costs_performance() {
             },
             pair("gzip", "susan", 11),
         );
-        let mut sched = RoundRobinScheduler::every_epoch();
+        let mut sched = TopoRoundRobin::every_epoch();
         sys.run(&mut sched, 300_000, 60_000_000)
     };
     let keep = run(false);
@@ -145,7 +143,7 @@ fn destructive_l1_flush_costs_performance() {
 #[test]
 fn swaps_preserve_total_progress_accounting() {
     let mut sys = DualCoreSystem::new(cfg(50_000), pair("mixstress", "ffti", 13));
-    let mut sched = RoundRobinScheduler::every_epoch();
+    let mut sched = TopoRoundRobin::every_epoch();
     let r = sys.run(&mut sched, 500_000, 50_000_000);
     // The run-result instruction counts must match the system's view.
     let sys_insts = sys.thread_instructions();

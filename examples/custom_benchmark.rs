@@ -68,7 +68,7 @@ fn main() {
     );
     println!("co-runner: sha (INT-heavy, stable); sha starts on the FP core\n");
 
-    let mut stat = StaticScheduler;
+    let mut stat = TopoStatic;
     let baseline = run_with(&mut stat, 99);
     let base_ppw = baseline.ipc_per_watt();
     println!(
@@ -76,7 +76,7 @@ fn main() {
         base_ppw[0], base_ppw[1], baseline.swaps
     );
 
-    let mut rr = RoundRobinScheduler::every_epoch();
+    let mut rr = TopoRoundRobin::every_epoch();
     let rr_res = run_with(&mut rr, 99);
     println!(
         "round-rb : IPC/W = [{:.4}, {:.4}], swaps = {:>3}, weighted vs static {:+.1}%",
@@ -86,7 +86,7 @@ fn main() {
         improvement_pct(weighted_speedup(&rr_res.ipc_per_watt(), &base_ppw))
     );
 
-    let mut prop = ProposedScheduler::with_defaults();
+    let mut prop = TopoProposed::with_defaults(2);
     let prop_res = run_with(&mut prop, 99);
     println!(
         "proposed : IPC/W = [{:.4}, {:.4}], swaps = {:>3}, weighted vs static {:+.1}%",

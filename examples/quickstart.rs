@@ -27,7 +27,7 @@ fn main() {
     ];
 
     let mut system = DualCoreSystem::new(SystemConfig::default(), workloads);
-    let mut scheduler = ProposedScheduler::with_defaults();
+    let mut scheduler = TopoProposed::with_defaults(2);
 
     // The paper runs until one thread commits 5M instructions.
     let result = system.run(&mut scheduler, 5_000_000, 200_000_000);

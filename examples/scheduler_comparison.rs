@@ -9,7 +9,7 @@
 //! flavor at sub-epoch granularity, which is exactly where fine-grained
 //! scheduling pays off.
 
-use ampsched::experiments::common::Params;
+use ampsched::experiments::common::{Params, SchedKind};
 use ampsched::experiments::profiling;
 use ampsched::metrics::Table;
 use ampsched::prelude::*;
@@ -34,27 +34,25 @@ fn main() {
     eprintln!("[profiling for the HPE predictors ...]");
     let preds = profiling::predictors(&params);
 
-    let mut schedulers: Vec<Box<dyn Scheduler>> = vec![
-        Box::new(StaticScheduler),
-        Box::new(RoundRobinScheduler::every_epoch()),
-        Box::new(HpeScheduler::new(HpePredictor::Matrix(preds.matrix.clone()))),
-        Box::new(HpeScheduler::new(HpePredictor::Surface(preds.surface.clone()))),
-        Box::new(MatrixFineScheduler::new(HpePredictor::Matrix(preds.matrix.clone()))),
-        Box::new(SamplingScheduler::new(2)),
-        Box::new(ProposedScheduler::with_defaults()),
-        Box::new(ExtendedScheduler::with_defaults()),
+    // Static first: it is the baseline of the weighted speedups.
+    let kinds = [
+        SchedKind::Static,
+        SchedKind::RoundRobin(1),
+        SchedKind::HpeMatrix,
+        SchedKind::HpeSurface,
+        SchedKind::MatrixFine,
+        SchedKind::Sampling(2),
+        SchedKind::Proposed(ProposedConfig::default()),
+        SchedKind::Extended(ExtendedConfig::default()),
     ];
 
     println!("pair: {} (thread 0, FP core) + {} (thread 1, INT core)\n", a.name, b.name);
     let mut t = Table::new(&["scheduler", "IPC/W t0", "IPC/W t1", "swaps", "cycles"]);
-    let mut static_ppw: Option<[f64; 2]> = None;
-    for sched in &mut schedulers {
+    let mut runs = Vec::new();
+    for kind in &kinds {
         let mut sys = make_system(&a, &b, &params);
-        let r = sys.run(&mut **sched, params.run_insts, params.max_cycles);
+        let r = sys.run(&mut *kind.build(&preds), params.run_insts, params.max_cycles);
         let ppw = r.ipc_per_watt();
-        if static_ppw.is_none() {
-            static_ppw = Some(ppw);
-        }
         t.row(&[
             r.scheduler.clone(),
             format!("{:.4}", ppw[0]),
@@ -62,36 +60,14 @@ fn main() {
             r.swaps.to_string(),
             r.cycles.to_string(),
         ]);
+        runs.push(r);
     }
     println!("{}", t.render());
 
     println!("weighted speedups over the static assignment:");
-    let base = static_ppw.expect("static ran first");
-    for sched_name in [
-        "round-robin",
-        "hpe-matrix",
-        "hpe-surface",
-        "matrix-fine",
-        "sampling",
-        "proposed",
-        "proposed-extended",
-    ] {
-        let mut sys = make_system(&a, &b, &params);
-        let mut sched: Box<dyn Scheduler> = match sched_name {
-            "round-robin" => Box::new(RoundRobinScheduler::every_epoch()),
-            "hpe-matrix" => Box::new(HpeScheduler::new(HpePredictor::Matrix(preds.matrix.clone()))),
-            "hpe-surface" => {
-                Box::new(HpeScheduler::new(HpePredictor::Surface(preds.surface.clone())))
-            }
-            "matrix-fine" => {
-                Box::new(MatrixFineScheduler::new(HpePredictor::Matrix(preds.matrix.clone())))
-            }
-            "sampling" => Box::new(SamplingScheduler::new(2)),
-            "proposed-extended" => Box::new(ExtendedScheduler::with_defaults()),
-            _ => Box::new(ProposedScheduler::with_defaults()),
-        };
-        let r = sys.run(&mut *sched, params.run_insts, params.max_cycles);
+    let base = runs[0].ipc_per_watt();
+    for r in &runs[1..] {
         let s = weighted_speedup(&r.ipc_per_watt(), &base);
-        println!("  {sched_name:12} {:+.1}%", improvement_pct(s));
+        println!("  {:17} {:+.1}%", r.scheduler, improvement_pct(s));
     }
 }

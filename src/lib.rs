@@ -36,7 +36,7 @@
 //!     Box::new(TraceGenerator::for_thread(suite::by_name("bitcount").unwrap(), 42, 1)),
 //! ];
 //! let mut system = DualCoreSystem::new(SystemConfig::default(), workloads);
-//! let mut scheduler = ProposedScheduler::with_defaults();
+//! let mut scheduler = TopoProposed::with_defaults(2);
 //! let result = system.run(&mut scheduler, 200_000, 20_000_000);
 //! let [ppw0, ppw1] = result.ipc_per_watt();
 //! assert!(ppw0 > 0.0 && ppw1 > 0.0);
@@ -57,9 +57,8 @@ pub use ampsched_trace as workloads;
 pub mod prelude {
     pub use ampsched_core::{
         Assignment, AssignmentMap, CampScheduler, CoreKind, CoreTraits, Decision, ExtendedConfig,
-        ExtendedScheduler, HpePredictor, HpeScheduler, MatrixFineScheduler, PairAdapter,
-        ProposedConfig, ProposedScheduler, RatioMatrix, RatioSurface, RoundRobinScheduler,
-        SamplingScheduler, Scheduler, StaticScheduler, SwapRules, ThreadWindow, TopoDecision,
+        ExtendedScheduler, HpePredictor, MatrixFineScheduler, ProposedConfig, RatioMatrix,
+        RatioSurface, SamplingScheduler, Scheduler, SwapRules, ThreadWindow, TopoDecision,
         TopoHpe, TopoProposed, TopoRoundRobin, TopoScheduler, TopoSnapshot, TopoStatic,
         TpeScheduler, WindowSnapshot,
     };

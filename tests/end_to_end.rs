@@ -1,7 +1,9 @@
 //! End-to-end integration tests spanning every crate: workload models →
 //! core timing → memory → power → scheduling → metrics.
 
+use ampsched::experiments::common::{Predictors, SchedKind};
 use ampsched::prelude::*;
+use ampsched::sched::{ExtendedConfig, ReplaySchedule};
 
 fn pair(a: &str, b: &str, seed: u64) -> [Box<dyn Workload>; 2] {
     [
@@ -33,14 +35,14 @@ fn proposed_scheduler_corrects_a_misplaced_pair_end_to_end() {
     // intstress starts on the FP core, fpstress on the INT core — the
     // worst possible initial assignment.
     let mut sys = quick_system(pair("intstress", "fpstress", 5));
-    let mut sched = ProposedScheduler::with_defaults();
+    let mut sched = TopoProposed::with_defaults(2);
     let r = sys.run(&mut sched, 300_000, 30_000_000);
     assert!(r.swaps >= 1);
     assert_eq!(sys.assignment().core_of(0), CoreKind::Int);
 
     // Compare against never swapping, same workloads and seeds.
     let mut sys2 = quick_system(pair("intstress", "fpstress", 5));
-    let mut stat = StaticScheduler;
+    let mut stat = TopoStatic;
     let r2 = sys2.run(&mut stat, 300_000, 30_000_000);
     let speedup = weighted_speedup(&r.ipc_per_watt(), &r2.ipc_per_watt());
     assert!(
@@ -64,19 +66,28 @@ fn all_five_schedulers_complete_on_the_same_pair() {
                 })
             })
             .collect();
-        (
-            RatioMatrix::from_points(&pts),
-            RatioSurface::from_points(&pts),
-        )
+        Predictors {
+            matrix: RatioMatrix::from_points(&pts),
+            surface: RatioSurface::from_points(&pts),
+        }
     };
-    let mut schedulers: Vec<Box<dyn Scheduler>> = vec![
-        Box::new(StaticScheduler),
-        Box::new(RoundRobinScheduler::every_epoch()),
-        Box::new(HpeScheduler::new(HpePredictor::Matrix(preds.0.clone()))),
-        Box::new(HpeScheduler::new(HpePredictor::Surface(preds.1.clone()))),
-        Box::new(MatrixFineScheduler::new(HpePredictor::Matrix(preds.0))),
-        Box::new(ProposedScheduler::with_defaults()),
+    // Every scheme the experiments can name, built the way they build
+    // it for the paper's machine.
+    let kinds = [
+        SchedKind::Static,
+        SchedKind::RoundRobin(1),
+        SchedKind::HpeMatrix,
+        SchedKind::HpeSurface,
+        SchedKind::MatrixFine,
+        SchedKind::Proposed(ProposedConfig::default()),
+        SchedKind::Extended(ExtendedConfig::default()),
+        SchedKind::Sampling(2),
+        SchedKind::Tpe,
+        SchedKind::CampStatic,
+        SchedKind::CampDynamic,
+        SchedKind::Oracle(ReplaySchedule::from_plan(&[AssignmentMap::pair(true)], None)),
     ];
+    let mut schedulers: Vec<Box<dyn Scheduler>> = kinds.iter().map(|k| k.build(&preds)).collect();
     for sched in &mut schedulers {
         let mut sys = quick_system(pair("apsi", "gzip", 11));
         let r = sys.run(&mut **sched, 150_000, 20_000_000);
@@ -94,7 +105,7 @@ fn all_five_schedulers_complete_on_the_same_pair() {
 fn runs_are_bit_deterministic_across_constructions() {
     let run = || {
         let mut sys = quick_system(pair("mpeg2_dec", "twolf", 21));
-        let mut sched = ProposedScheduler::with_defaults();
+        let mut sched = TopoProposed::with_defaults(2);
         sys.run(&mut sched, 250_000, 25_000_000)
     };
     let (a, b) = (run(), run());
@@ -109,10 +120,13 @@ fn runs_are_bit_deterministic_across_constructions() {
 fn fairness_swap_shares_the_int_core_between_two_int_threads() {
     // Two INT-heavy threads: only the fairness rule can swap them.
     let mut sys = quick_system(pair("bitcount", "sha", 3));
-    let mut sched = ProposedScheduler::new(ProposedConfig {
-        fairness_interval_cycles: 200_000,
-        ..ProposedConfig::default()
-    });
+    let mut sched = TopoProposed::new(
+        ProposedConfig {
+            fairness_interval_cycles: 200_000,
+            ..ProposedConfig::default()
+        },
+        2,
+    );
     let r = sys.run(&mut sched, 1_000_000, 50_000_000);
     assert!(
         r.swaps >= 2,
@@ -139,7 +153,7 @@ fn swap_overhead_sweep_is_monotone_in_total_cycles_for_round_robin() {
             },
             pair("gzip", "susan", 9),
         );
-        let mut sched = RoundRobinScheduler::every_epoch();
+        let mut sched = TopoRoundRobin::every_epoch();
         let r = sys.run(&mut sched, 200_000, 50_000_000);
         cycles.push(r.cycles);
     }
@@ -159,7 +173,7 @@ fn energy_attribution_is_conserved_under_heavy_swapping() {
         },
         pair("mixstress", "pi", 17),
     );
-    let mut sched = RoundRobinScheduler::every_epoch();
+    let mut sched = TopoRoundRobin::every_epoch();
     let r = sys.run(&mut sched, 400_000, 40_000_000);
     assert!(r.swaps > 3, "RR must swap repeatedly");
     // Total energy is positive and split across both threads.

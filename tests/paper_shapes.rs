@@ -3,7 +3,7 @@
 
 use ampsched::experiments::common::{Params, SchedKind};
 use ampsched::experiments::{fig1, fig78, profiling};
-use ampsched::sched::{paper, ProposedConfig, ProposedScheduler, Scheduler};
+use ampsched::sched::{paper, ProposedConfig, Scheduler, TopoProposed};
 
 fn quick(n_pairs: usize) -> Params {
     let mut p = Params::quick();
@@ -39,7 +39,7 @@ fn golden_defaults_match_paper_constants() {
     assert_eq!(cfg.fairness_interval_cycles, paper::FAIRNESS_INTERVAL_CYCLES);
     // window_insts() is the *pair* window (both threads commit), i.e.
     // twice the per-thread monitoring window.
-    let s = ProposedScheduler::with_defaults();
+    let s = TopoProposed::with_defaults(2);
     assert_eq!(s.window_insts(), Some(2 * paper::WINDOW_INSTS));
     // An effective swap decision needs history_depth consistent windows:
     // 5000 committed instructions per thread.

@@ -43,12 +43,19 @@ impl Scheduler for StormScheduler {
     fn window_insts(&self) -> Option<u64> {
         Some(self.window)
     }
-    fn on_window(&mut self, _snap: &WindowSnapshot) -> Decision {
-        Decision::Swap
+    fn on_window(&mut self, snap: &WindowSnapshot) -> Decision {
+        swap(snap)
     }
-    fn on_epoch(&mut self, _snap: &WindowSnapshot) -> Decision {
-        Decision::Swap
+    fn on_epoch(&mut self, snap: &WindowSnapshot) -> Decision {
+        swap(snap)
     }
+}
+
+/// Exchange the two threads of a dual-core snapshot.
+fn swap(snap: &WindowSnapshot) -> Decision {
+    let mut next = snap.assignment.clone();
+    next.swap_threads(0, 1);
+    Decision::Reassign(next)
 }
 
 /// Factory for fresh scheduler instances — each soak side gets its own.
@@ -138,8 +145,8 @@ fn soak_grid_fast_matches_reference() {
     let pairs = [("gcc", "equake"), ("mcf", "swim"), ("intstress", "fpstress")];
     let schedulers: [(&str, &MakeSched); 3] = [
         ("storm", &|| Box::new(StormScheduler { window: 20_000 })),
-        ("rr", &|| Box::new(RoundRobinScheduler::every_epoch())),
-        ("static", &|| Box::new(StaticScheduler)),
+        ("rr", &|| Box::new(TopoRoundRobin::every_epoch())),
+        ("static", &|| Box::new(TopoStatic)),
     ];
     for (i, &(a, b)) in pairs.iter().enumerate() {
         let seed = 2012 + i as u64;
@@ -351,8 +358,8 @@ fn soak_fuzzed_scenarios_fast_matches_reference() {
                     let w = sc.storm_window;
                     Box::new(move || Box::new(StormScheduler { window: w }) as Box<dyn Scheduler>)
                 }
-                1 => Box::new(|| Box::new(RoundRobinScheduler::every_epoch()) as Box<dyn Scheduler>),
-                _ => Box::new(|| Box::new(StaticScheduler) as Box<dyn Scheduler>),
+                1 => Box::new(|| Box::new(TopoRoundRobin::every_epoch()) as Box<dyn Scheduler>),
+                _ => Box::new(|| Box::new(TopoStatic) as Box<dyn Scheduler>),
             };
             let checkpoints =
                 soak_lockstep(sc.bench_a, sc.bench_b, sc.seed, &*make, sc.cycles, Err);
