@@ -10,8 +10,10 @@
 //!
 //! The `--json` reports keep only the first and last decision records of
 //! each run, so the commands whose schedulers decide (fig6, fig7,
-//! ablation, regret) also write their complete `--telemetry` decision
-//! stream, pinned by [`STREAM_DIGESTS`]. Runs execute in parallel and
+//! ablation, scaling, regret) also write their complete `--telemetry`
+//! decision stream, pinned by [`STREAM_DIGESTS`]. Scaling's stream is the
+//! N-core `topo_decision` dialect: parked threads, `null` cores and
+//! multi-thread `migrated` arrays. Runs execute in parallel and
 //! interleave their lines in completion order, so the digest is the
 //! FNV-1a 64 of the stream's lines sorted bytewise, each followed by a
 //! newline.
@@ -41,6 +43,7 @@ const STREAM_DIGESTS: &[(&str, u64)] = &[
     ("fig6", 0x010d_a445_a980_c143),
     ("fig7", 0x8a0c_5e66_f825_b6f7),
     ("ablation", 0x0494_57d2_4bfb_7c06),
+    ("scaling", 0x9c4f_c5c5_b802_0032),
     ("regret", 0x6f96_8933_3a69_c905),
 ];
 
