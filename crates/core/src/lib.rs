@@ -20,7 +20,8 @@
 //! every flavour-contrasted pair of occupied cores, and on the paper's
 //! machine there is exactly one. The pair-era names [`Scheduler`],
 //! [`Decision`] and [`WindowSnapshot`] are the same trait and types
-//! under their old names.
+//! under their old names. Placement has one type too: the paper's two
+//! placements are [`AssignmentMap::pair`]`(false)` and `(true)`.
 //!
 //! ## Schedulers
 //!
@@ -52,7 +53,7 @@ pub mod scheduler;
 pub mod topo;
 pub mod zoo;
 
-pub use counters::{Assignment, CoreKind, ThreadWindow};
+pub use counters::ThreadWindow;
 pub use extended::{ExtendedConfig, ExtendedScheduler};
 pub use history::MajorityVote;
 pub use hpe::{HpePredictor, RatioMatrix, RatioSurface};

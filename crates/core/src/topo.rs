@@ -21,7 +21,7 @@
 //!   internal state seeded at construction, so decision streams are
 //!   deterministic across reruns.
 
-use crate::counters::{Assignment, ThreadWindow};
+use crate::counters::ThreadWindow;
 use crate::scheduler::DecisionExplain;
 
 /// Substrate-independent description of one core's capabilities, derived
@@ -96,8 +96,8 @@ impl AssignmentMap {
         AssignmentMap { core_of, thread_on }
     }
 
-    /// The dual-core shape expressed generally (`swapped` as in
-    /// [`Assignment`]).
+    /// The paper's dual-core shape: thread 0 on core 0 (FP) and thread 1
+    /// on core 1 (INT), or exchanged when `swapped`.
     pub fn pair(swapped: bool) -> Self {
         let mut map = AssignmentMap::baseline(2, 2);
         if swapped {
@@ -207,16 +207,6 @@ impl AssignmentMap {
         (0..self.threads().min(other.threads()))
             .filter(|&t| self.core_of[t] != other.core_of[t])
             .collect()
-    }
-
-    /// For a 2-core/2-thread map, the equivalent [`Assignment`] of the
-    /// legacy dual-core API; `None` for any other shape.
-    pub fn as_pair(&self) -> Option<Assignment> {
-        if self.cores() == 2 && self.threads() == 2 {
-            Some(Assignment { swapped: self.core_of[0] == Some(1) })
-        } else {
-            None
-        }
     }
 }
 
@@ -354,10 +344,12 @@ mod tests {
     }
 
     #[test]
-    fn pair_maps_match_legacy_assignment() {
-        assert_eq!(AssignmentMap::pair(false).as_pair(), Some(Assignment { swapped: false }));
-        assert_eq!(AssignmentMap::pair(true).as_pair(), Some(Assignment { swapped: true }));
-        assert_eq!(AssignmentMap::baseline(3, 2).as_pair(), None);
+    fn pair_maps_place_thread_zero_by_the_swap_flag() {
+        assert_eq!(AssignmentMap::pair(false), AssignmentMap::baseline(2, 2));
+        let swapped = AssignmentMap::pair(true);
+        swapped.validate().expect("swapped pair must validate");
+        assert_eq!((swapped.core_of(0), swapped.core_of(1)), (Some(1), Some(0)));
+        assert_eq!((swapped.thread_on(0), swapped.thread_on(1)), (Some(1), Some(0)));
     }
 
     #[test]

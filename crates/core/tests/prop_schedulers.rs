@@ -110,10 +110,12 @@ fn all_schedulers() -> Vec<Box<dyn TopoScheduler>> {
 
 /// Whether a decision on a dual-core snapshot is a valid outcome: stay,
 /// or move to one of the two dual-core assignments.
-fn is_pair_decision(d: &TopoDecision) -> bool {
+fn is_duo_decision(d: &TopoDecision) -> bool {
     match d {
         TopoDecision::Stay => true,
-        TopoDecision::Reassign(next) => next.as_pair().is_some(),
+        TopoDecision::Reassign(next) => {
+            *next == AssignmentMap::pair(false) || *next == AssignmentMap::pair(true)
+        }
     }
 }
 
@@ -134,8 +136,8 @@ fn schedulers_are_total_and_resettable() {
                 for s in snaps {
                     let dw = sched.on_window(s);
                     let de = sched.on_epoch(s);
-                    prop_assert!(is_pair_decision(&dw));
-                    prop_assert!(is_pair_decision(&de));
+                    prop_assert!(is_duo_decision(&dw));
+                    prop_assert!(is_duo_decision(&de));
                     first.push(dw);
                 }
                 sched.reset();

@@ -31,13 +31,9 @@ fn proposed_cfg(params: &Params) -> ProposedConfig {
 /// Run the ablation battery.
 pub fn run(params: &Params, predictors: &Predictors) -> Vec<AblationRow> {
     let pairs = sample_pairs(params.num_pairs, params.seed);
-    // Common baseline: static assignment. Kept as unsized per-thread
-    // vectors — the scoring below iterates whatever thread count the
-    // run produced rather than assuming the paper's two slots.
+    // Common baseline: static assignment.
     let base: Vec<Vec<f64>> = parallel_map(&pairs, |p| {
-        run_pair(p, &SchedKind::Static, predictors, params)
-            .ipc_per_watt()
-            .to_vec()
+        run_pair(p, &SchedKind::Static, predictors, params).ipc_per_watt()
     });
 
     let mut variants: Vec<(String, SchedKind, Params)> = Vec::new();

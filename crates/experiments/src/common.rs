@@ -6,7 +6,7 @@ use ampsched_core::{
     OracleScheduler, ProposedConfig, ReplaySchedule, SamplingScheduler, Scheduler, TopoHpe,
     TopoProposed, TopoRoundRobin, TopoScheduler, TopoStatic, TpeScheduler,
 };
-use ampsched_system::{DualCoreSystem, RunResult, SystemConfig};
+use ampsched_system::{DualCoreSystem, SystemConfig, TopoRunResult};
 use ampsched_trace::{suite, BenchmarkSpec, TracePath, Workload};
 use ampsched_util::rng::StdRng;
 
@@ -282,7 +282,7 @@ pub fn sample_pairs(n: usize, seed: u64) -> Vec<Pair> {
 /// instruction streams come from the shared trace arena (or live
 /// generators) per `params.trace_path`, so repeated runs of the same
 /// pair under different schedulers materialize each stream only once.
-pub fn run_pair(pair: &Pair, kind: &SchedKind, predictors: &Predictors, params: &Params) -> RunResult {
+pub fn run_pair(pair: &Pair, kind: &SchedKind, predictors: &Predictors, params: &Params) -> TopoRunResult {
     let _span = ampsched_obs::span!("experiments.run_pair", pair.label());
     let mut sys = DualCoreSystem::new(params.system, pair.workloads(params));
     let mut sched = kind.build(predictors);

@@ -29,7 +29,7 @@ pub fn run(params: &Params, predictors: &Predictors) -> Vec<Fig6Point> {
     // HPE baselines are shared by every configuration, and the selector
     // by every pair.
     let hpe_kind = SchedKind::HpeMatrix;
-    let hpe: Vec<[f64; 2]> = parallel_map(&pairs, |p| {
+    let hpe: Vec<Vec<f64>> = parallel_map(&pairs, |p| {
         run_pair(p, &hpe_kind, predictors, params).ipc_per_watt()
     });
     let mut grid = Vec::new();

@@ -7,7 +7,7 @@ use ampsched_metrics::{
     geometric_speedup, improvement_pct, k_largest_indices, k_smallest_indices, mean,
     weighted_improvement_pct, Table,
 };
-use ampsched_system::RunResult;
+use ampsched_system::TopoRunResult;
 
 use crate::common::{run_pair, sample_pairs, Params, Predictors, SchedKind};
 use crate::runner::parallel_map;
@@ -18,11 +18,11 @@ pub struct PairOutcome {
     /// `"a+b"` pair label.
     pub label: String,
     /// Proposed scheme result.
-    pub proposed: RunResult,
+    pub proposed: TopoRunResult,
     /// HPE (matrix) result.
-    pub hpe: RunResult,
+    pub hpe: TopoRunResult,
     /// Round Robin (1 epoch) result.
-    pub rr: RunResult,
+    pub rr: TopoRunResult,
 }
 
 /// Improvement of the proposed scheme over a reference, for one pair.
@@ -120,7 +120,7 @@ pub fn to_json(sweep: &SweepResult) -> ampsched_util::Json {
     // full-scale run has thousands of decision points). The complete
     // stream is available via `--telemetry`.
     const DECISIONS_CAP: usize = 10;
-    let decisions = |r: &RunResult| {
+    let decisions = |r: &TopoRunResult| {
         let n = r.decisions.len();
         let shown: Vec<&_> = if n <= 2 * DECISIONS_CAP {
             r.decisions.iter().collect()
@@ -139,7 +139,7 @@ pub fn to_json(sweep: &SweepResult) -> ampsched_util::Json {
             ),
         ])
     };
-    let run = |r: &RunResult| {
+    let run = |r: &TopoRunResult| {
         Json::obj([
             ("scheduler", Json::from(r.scheduler.as_str())),
             ("cycles", Json::from(r.cycles)),
@@ -399,28 +399,31 @@ mod tests {
     /// A synthetic run whose decision stream has `n` records with
     /// distinct cycle stamps `0..n`, so a test can tell exactly which
     /// records the report kept.
-    fn synthetic_run(n: usize) -> RunResult {
+    fn synthetic_run(n: usize) -> TopoRunResult {
         use ampsched_metrics::ThreadMetrics;
-        use ampsched_system::{DecisionKind, DecisionRecord, DecisionThread};
+        use ampsched_system::{DecisionKind, TopoDecisionRecord, TopoDecisionThread};
         let thread = ThreadMetrics {
             instructions: 1000,
             cycles: 2000,
             joules: 1e-6,
             frequency_hz: 2.1e9,
         };
-        RunResult {
+        TopoRunResult {
             scheduler: "synthetic".into(),
             cycles: 2000,
-            threads: [thread; 2],
+            threads: vec![thread; 2],
             swaps: 0,
+            migrations: 0,
             window_decisions: n as u64,
             epoch_decisions: 0,
             decisions: (0..n)
-                .map(|i| DecisionRecord {
+                .map(|i| TopoDecisionRecord {
                     cycle: i as u64,
                     kind: DecisionKind::Window,
-                    swap: false,
-                    threads: [DecisionThread::default(); 2],
+                    changed: false,
+                    migrated: Vec::new(),
+                    assignment: vec![Some(0), Some(1)],
+                    threads: vec![TopoDecisionThread::default(); 2],
                     explain: None,
                     swap_cost_cycles: 0,
                     realized_speedup: None,

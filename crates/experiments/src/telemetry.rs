@@ -2,9 +2,11 @@
 //!
 //! When a telemetry sink is installed (see `ampsched_obs::telemetry`),
 //! every simulated run streams its scheduler audit trail as one JSON
-//! object per line: a `"decision"` record per decision point carrying
-//! the predictor's inputs, outputs, and post-hoc misprediction
-//! attribution, then one `"run"` record with the run totals. The stream
+//! object per line: a decision record per decision point carrying the
+//! predictor's inputs, outputs, and post-hoc misprediction attribution,
+//! then one run record with the run totals. Dual-core runs write the
+//! `"decision"`/`"run"` dialect, N-core runs `"topo_decision"`/
+//! `"topo_run"`; both come from the same [`TopoRunResult`]. The stream
 //! is an *observation* of the run, never an input to it — the
 //! simulation consumes nothing from this module, which is what keeps
 //! `--json` reports byte-identical with telemetry on or off (enforced
@@ -14,99 +16,101 @@
 //! obs-summary FILE` (see [`crate::obs_summary`]) aggregates a file
 //! back into a per-scheduler table.
 
-use ampsched_system::{
-    DecisionKind, DecisionRecord, RunResult, TopoDecisionRecord, TopoRunResult,
-};
+use ampsched_core::DecisionExplain;
+use ampsched_system::{DecisionKind, TopoDecisionRecord, TopoDecisionThread, TopoRunResult};
 use ampsched_util::Json;
+
+/// The two record shapes of the stream. `Topo` writes a
+/// [`TopoDecisionRecord`] whole. `Pair` is its 2×2 view, the dual-core
+/// schema the fig7/8/9 reports pin: `changed` is written as `swap`, the
+/// assignment dimension (`migrated`, `assignment`, each thread's `core`)
+/// is left out, and `oracle_action` is reduced to "thread 0 on core 1".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Dialect {
+    Pair,
+    Topo,
+}
 
 fn opt_f64(v: Option<f64>) -> Json {
     v.map(Json::from).unwrap_or(Json::Null)
 }
 
-/// One decision record's audit-trail fields (shared by the JSONL stream
-/// and the capped `decisions` arrays in the fig7/8/9 `--json` report).
-pub fn decision_to_json(d: &DecisionRecord) -> Json {
-    let kind = match d.kind {
-        DecisionKind::Window => "window",
-        DecisionKind::Epoch => "epoch",
-    };
-    let explain = match &d.explain {
+fn opt_u64(v: Option<impl Into<u64>>) -> Json {
+    v.map(|v| Json::from(v.into())).unwrap_or(Json::Null)
+}
+
+fn opt_core(c: Option<usize>) -> Json {
+    opt_u64(c.map(|c| c as u64))
+}
+
+fn cores_json(table: &[Option<usize>]) -> Json {
+    Json::arr(table.iter().map(|&c| opt_core(c)))
+}
+
+fn explain_json(e: &Option<DecisionExplain>) -> Json {
+    match e {
         Some(e) => Json::obj([
             ("source", Json::from(e.source.name())),
             ("ratio_on_fp", opt_f64(e.ratio_on_fp)),
             ("ratio_on_int", opt_f64(e.ratio_on_int)),
             ("predicted_speedup", opt_f64(e.predicted_speedup)),
-            (
-                "votes_for",
-                e.votes_for.map(|v| Json::from(v as u64)).unwrap_or(Json::Null),
-            ),
-            (
-                "vote_depth",
-                e.vote_depth.map(|v| Json::from(v as u64)).unwrap_or(Json::Null),
-            ),
+            ("votes_for", opt_u64(e.votes_for)),
+            ("vote_depth", opt_u64(e.vote_depth)),
         ]),
         None => Json::Null,
-    };
-    Json::obj([
-        ("cycle", Json::from(d.cycle)),
-        ("kind", Json::from(kind)),
-        ("swap", Json::from(d.swap)),
-        ("swap_cost_cycles", Json::from(d.swap_cost_cycles)),
-        (
-            "threads",
-            Json::arr(d.threads.iter().map(|t| {
-                Json::obj([
-                    ("int_pct", Json::from(t.int_pct)),
-                    ("fp_pct", Json::from(t.fp_pct)),
-                    ("instructions", Json::from(t.instructions)),
-                    ("ipc", Json::from(t.ipc)),
-                    ("ipc_per_watt", Json::from(t.ipc_per_watt)),
-                ])
-            })),
-        ),
-        ("explain", explain),
-        ("realized_speedup", opt_f64(d.realized_speedup)),
-        ("mispredict", opt_f64(d.mispredict)),
-        (
-            "oracle_action",
-            d.oracle_action.map(Json::from).unwrap_or(Json::Null),
-        ),
-        ("regret", opt_f64(d.regret)),
-    ])
+    }
 }
 
-/// Stream one run's audit trail to the installed telemetry sink: one
-/// `"decision"` line per decision point, then one `"run"` line. A no-op
-/// (one relaxed atomic load) when no sink is installed.
-pub fn emit_run(pair: &str, seed: u64, result: &RunResult) {
-    if !ampsched_obs::telemetry::active() {
-        return;
+fn thread_json(t: &TopoDecisionThread, dialect: Dialect) -> Json {
+    let mut fields = vec![
+        ("int_pct", Json::from(t.int_pct)),
+        ("fp_pct", Json::from(t.fp_pct)),
+        ("instructions", Json::from(t.instructions)),
+        ("ipc", Json::from(t.ipc)),
+        ("ipc_per_watt", Json::from(t.ipc_per_watt)),
+    ];
+    if dialect == Dialect::Topo {
+        fields.push(("core", opt_core(t.core)));
     }
-    let envelope = |body: Json, ty: &str| {
-        let mut fields = vec![
-            ("type".to_string(), Json::from(ty)),
-            ("pair".to_string(), Json::from(pair)),
-            ("scheduler".to_string(), Json::from(result.scheduler.as_str())),
-            ("seed".to_string(), Json::from(seed)),
-        ];
-        match body {
-            Json::Obj(members) => fields.extend(members),
-            other => fields.push(("body".to_string(), other)),
-        }
-        Json::Obj(fields)
+    Json::obj(fields)
+}
+
+fn decision_json(d: &TopoDecisionRecord, dialect: Dialect) -> Json {
+    let kind = match d.kind {
+        DecisionKind::Window => "window",
+        DecisionKind::Epoch => "epoch",
     };
-    for d in &result.decisions {
-        ampsched_obs::telemetry::emit(&envelope(decision_to_json(d), "decision"));
+    let mut fields = vec![("cycle", Json::from(d.cycle)), ("kind", Json::from(kind))];
+    match dialect {
+        Dialect::Pair => fields.push(("swap", Json::from(d.changed))),
+        Dialect::Topo => fields.extend([
+            ("changed", Json::from(d.changed)),
+            ("migrated", Json::arr(d.migrated.iter().map(|&t| Json::from(t as u64)))),
+            ("assignment", cores_json(&d.assignment)),
+        ]),
     }
-    let ppw = result.ipc_per_watt();
-    let totals = Json::obj([
-        ("cycles", Json::from(result.cycles)),
-        ("swaps", Json::from(result.swaps)),
-        ("window_decisions", Json::from(result.window_decisions)),
-        ("epoch_decisions", Json::from(result.epoch_decisions)),
-        ("ipc_per_watt", Json::arr(ppw.iter().map(|&v| Json::from(v)))),
+    let oracle_action = match (&d.oracle_action, dialect) {
+        (None, _) => Json::Null,
+        (Some(table), Dialect::Pair) => Json::from(table.first() == Some(&Some(1))),
+        (Some(table), Dialect::Topo) => cores_json(table),
+    };
+    fields.extend([
+        ("swap_cost_cycles", Json::from(d.swap_cost_cycles)),
+        ("threads", Json::arr(d.threads.iter().map(|t| thread_json(t, dialect)))),
+        ("explain", explain_json(&d.explain)),
+        ("realized_speedup", opt_f64(d.realized_speedup)),
+        ("mispredict", opt_f64(d.mispredict)),
+        ("oracle_action", oracle_action),
+        ("regret", opt_f64(d.regret)),
     ]);
-    ampsched_obs::telemetry::emit(&envelope(totals, "run"));
+    Json::obj(fields)
+}
+
+/// One dual-core decision record in the pair dialect (shared by the JSONL
+/// stream and the capped `decisions` arrays in the fig7/8/9 `--json`
+/// report).
+pub fn decision_to_json(d: &TopoDecisionRecord) -> Json {
+    decision_json(d, Dialect::Pair)
 }
 
 /// One generalized (N-core × M-thread) decision record, carrying the
@@ -114,105 +118,60 @@ pub fn emit_run(pair: &str, seed: u64, result: &RunResult) {
 /// thread→core table (`assignment`, `null` = parked), the set of
 /// migrated threads, and each thread's occupied core at decision time.
 pub fn topo_decision_to_json(d: &TopoDecisionRecord) -> Json {
-    let kind = match d.kind {
-        DecisionKind::Window => "window",
-        DecisionKind::Epoch => "epoch",
-    };
-    let explain = match &d.explain {
-        Some(e) => Json::obj([
-            ("source", Json::from(e.source.name())),
-            ("ratio_on_fp", opt_f64(e.ratio_on_fp)),
-            ("ratio_on_int", opt_f64(e.ratio_on_int)),
-            ("predicted_speedup", opt_f64(e.predicted_speedup)),
-            (
-                "votes_for",
-                e.votes_for.map(|v| Json::from(v as u64)).unwrap_or(Json::Null),
-            ),
-            (
-                "vote_depth",
-                e.vote_depth.map(|v| Json::from(v as u64)).unwrap_or(Json::Null),
-            ),
-        ]),
-        None => Json::Null,
-    };
-    let opt_core = |c: Option<usize>| c.map(|c| Json::from(c as u64)).unwrap_or(Json::Null);
-    Json::obj([
-        ("cycle", Json::from(d.cycle)),
-        ("kind", Json::from(kind)),
-        ("changed", Json::from(d.changed)),
-        (
-            "migrated",
-            Json::arr(d.migrated.iter().map(|&t| Json::from(t as u64))),
-        ),
-        (
-            "assignment",
-            Json::arr(d.assignment.iter().map(|&c| opt_core(c))),
-        ),
-        ("swap_cost_cycles", Json::from(d.swap_cost_cycles)),
-        (
-            "threads",
-            Json::arr(d.threads.iter().map(|t| {
-                Json::obj([
-                    ("int_pct", Json::from(t.int_pct)),
-                    ("fp_pct", Json::from(t.fp_pct)),
-                    ("instructions", Json::from(t.instructions)),
-                    ("ipc", Json::from(t.ipc)),
-                    ("ipc_per_watt", Json::from(t.ipc_per_watt)),
-                    ("core", opt_core(t.core)),
-                ])
-            })),
-        ),
-        ("explain", explain),
-        ("realized_speedup", opt_f64(d.realized_speedup)),
-        ("mispredict", opt_f64(d.mispredict)),
-        (
-            "oracle_action",
-            match &d.oracle_action {
-                Some(table) => Json::arr(table.iter().map(|&c| opt_core(c))),
-                None => Json::Null,
-            },
-        ),
-        ("regret", opt_f64(d.regret)),
-    ])
+    decision_json(d, Dialect::Topo)
 }
 
-/// Stream one generalized run's audit trail to the installed telemetry
-/// sink: one `"topo_decision"` line per decision point, then one
-/// `"topo_run"` line with the run totals (including the topology label
-/// and migration count). A no-op when no sink is installed.
-pub fn emit_topo_run(topology: &str, group: &str, seed: u64, result: &TopoRunResult) {
+/// Stream one run's audit trail to the installed telemetry sink: one
+/// decision line per decision point, then one run line with the totals.
+/// Every line opens with its `type`, then `labels`, the scheduler and
+/// the seed. A no-op (one relaxed atomic load) when no sink is installed.
+fn emit(dialect: Dialect, labels: &[(&str, &str)], seed: u64, result: &TopoRunResult) {
     if !ampsched_obs::telemetry::active() {
         return;
     }
-    let envelope = |body: Json, ty: &str| {
-        let mut fields = vec![
-            ("type".to_string(), Json::from(ty)),
-            ("topology".to_string(), Json::from(topology)),
-            ("group".to_string(), Json::from(group)),
-            ("scheduler".to_string(), Json::from(result.scheduler.as_str())),
-            ("seed".to_string(), Json::from(seed)),
-        ];
-        match body {
-            Json::Obj(members) => fields.extend(members),
-            other => fields.push(("body".to_string(), other)),
+    let (decision_type, run_type) = match dialect {
+        Dialect::Pair => ("decision", "run"),
+        Dialect::Topo => ("topo_decision", "topo_run"),
+    };
+    let line = |ty: &str, body: Json| {
+        let mut fields = vec![("type".to_string(), Json::from(ty))];
+        fields.extend(labels.iter().map(|&(k, v)| (k.to_string(), Json::from(v))));
+        fields.push(("scheduler".to_string(), Json::from(result.scheduler.as_str())));
+        fields.push(("seed".to_string(), Json::from(seed)));
+        if let Json::Obj(members) = body {
+            fields.extend(members);
         }
-        Json::Obj(fields)
+        ampsched_obs::telemetry::emit(&Json::Obj(fields));
     };
     for d in &result.decisions {
-        ampsched_obs::telemetry::emit(&envelope(topo_decision_to_json(d), "topo_decision"));
+        line(decision_type, decision_json(d, dialect));
     }
-    let totals = Json::obj([
+    let mut totals = vec![
         ("cycles", Json::from(result.cycles)),
         ("swaps", Json::from(result.swaps)),
-        ("migrations", Json::from(result.migrations)),
+    ];
+    if dialect == Dialect::Topo {
+        totals.push(("migrations", Json::from(result.migrations)));
+    }
+    totals.extend([
         ("window_decisions", Json::from(result.window_decisions)),
         ("epoch_decisions", Json::from(result.epoch_decisions)),
-        (
-            "ipc_per_watt",
-            Json::arr(result.ipc_per_watt().iter().map(|&v| Json::from(v))),
-        ),
+        ("ipc_per_watt", Json::arr(result.ipc_per_watt().into_iter().map(Json::from))),
     ]);
-    ampsched_obs::telemetry::emit(&envelope(totals, "topo_run"));
+    line(run_type, Json::obj(totals));
+}
+
+/// Stream one dual-core run in the pair dialect: `"decision"` lines and a
+/// `"run"` line, labelled with the pair.
+pub fn emit_run(pair: &str, seed: u64, result: &TopoRunResult) {
+    emit(Dialect::Pair, &[("pair", pair)], seed, result);
+}
+
+/// Stream one generalized run in the topo dialect: `"topo_decision"`
+/// lines and a `"topo_run"` line (adding the migration count), labelled
+/// with the topology and experiment group.
+pub fn emit_topo_run(topology: &str, group: &str, seed: u64, result: &TopoRunResult) {
+    emit(Dialect::Topo, &[("topology", topology), ("group", group)], seed, result);
 }
 
 /// The `telemetry` block of the `--json` report: a snapshot of the
@@ -231,38 +190,73 @@ pub fn summary_json() -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampsched_system::DecisionThread;
 
-    fn record() -> DecisionRecord {
-        DecisionRecord {
+    fn record(oracle_action: Option<Vec<Option<usize>>>) -> TopoDecisionRecord {
+        TopoDecisionRecord {
             cycle: 4000,
             kind: DecisionKind::Window,
-            swap: true,
-            threads: [DecisionThread::default(); 2],
+            changed: true,
+            migrated: vec![0, 1],
+            assignment: vec![Some(1), Some(0)],
+            threads: vec![
+                TopoDecisionThread { core: Some(0), ..Default::default() },
+                TopoDecisionThread { core: Some(1), ..Default::default() },
+            ],
             explain: None,
             swap_cost_cycles: 1000,
             realized_speedup: Some(1.25),
             mispredict: None,
-            oracle_action: None,
+            oracle_action,
             regret: None,
         }
     }
 
+    fn keys(j: &Json) -> Vec<&str> {
+        j.as_obj().expect("object").iter().map(|(k, _)| k.as_str()).collect()
+    }
+
     #[test]
-    fn decision_json_shape() {
-        let j = decision_to_json(&record());
-        assert_eq!(j.get("cycle").and_then(Json::as_u64), Some(4000));
-        assert_eq!(j.get("kind").and_then(Json::as_str), Some("window"));
-        assert_eq!(j.get("swap").and_then(Json::as_bool), Some(true));
-        assert_eq!(j.get("explain"), Some(&Json::Null));
+    fn one_record_renders_in_both_dialects() {
+        let d = record(None);
+        let (pair, topo) = (decision_to_json(&d), topo_decision_to_json(&d));
+        assert_eq!(pair.get("swap"), topo.get("changed"));
+        assert_eq!(pair.get("swap").and_then(Json::as_bool), Some(true));
+        for key in ["cycle", "kind", "swap_cost_cycles", "explain", "realized_speedup"] {
+            assert_eq!(pair.get(key), topo.get(key), "{key}");
+        }
+        assert_eq!(pair.get("realized_speedup").and_then(Json::as_f64), Some(1.25));
+        // The pair form is the 2×2 view: no assignment dimension.
+        for key in ["changed", "migrated", "assignment", "core"] {
+            assert!(pair.get(key).is_none(), "pair form has {key}");
+        }
+        let pair_threads = pair.get("threads").and_then(Json::as_arr).expect("threads");
+        let topo_threads = topo.get("threads").and_then(Json::as_arr).expect("threads");
+        assert_eq!((pair_threads.len(), topo_threads.len()), (2, 2));
+        assert!(pair_threads.iter().all(|t| !keys(t).contains(&"core")));
+        assert_eq!(topo_threads[1].get("core").and_then(Json::as_u64), Some(1));
         assert_eq!(
-            j.get("realized_speedup").and_then(Json::as_f64),
-            Some(1.25)
+            keys(&pair),
+            [
+                "cycle", "kind", "swap", "swap_cost_cycles", "threads", "explain",
+                "realized_speedup", "mispredict", "oracle_action", "regret",
+            ]
         );
-        assert_eq!(j.get("mispredict"), Some(&Json::Null));
-        assert_eq!(j.get("threads").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
+
+        // The oracle's table reduces to "thread 0 on core 1".
+        for (table, want) in [
+            (Some(vec![Some(1), Some(0)]), Json::Bool(true)),
+            (Some(vec![Some(0), Some(1)]), Json::Bool(false)),
+            (None, Json::Null),
+        ] {
+            let d = record(table.clone());
+            assert_eq!(decision_to_json(&d).get("oracle_action"), Some(&want));
+            let whole = table.as_deref().map_or(Json::Null, cores_json);
+            assert_eq!(topo_decision_to_json(&d).get("oracle_action"), Some(&whole));
+        }
+
         // Single line: JSONL consumers split on newlines.
-        assert!(!j.render().contains('\n'));
+        assert!(!pair.render().contains('\n'));
+        assert!(!topo.render().contains('\n'));
     }
 
     #[test]

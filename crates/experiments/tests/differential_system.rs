@@ -7,12 +7,13 @@
 
 use ampsched_experiments::common::{run_pair, sample_pairs, Params, SchedKind};
 use ampsched_experiments::profiling;
-use ampsched_system::{RunResult, SimPath};
+use ampsched_system::{SimPath, TopoRunResult};
 
-fn assert_bit_identical(fast: &RunResult, reference: &RunResult, ctx: &str) {
+fn assert_bit_identical(fast: &TopoRunResult, reference: &TopoRunResult, ctx: &str) {
     assert_eq!(fast.scheduler, reference.scheduler, "{ctx}");
     assert_eq!(fast.cycles, reference.cycles, "cycles diverged: {ctx}");
     assert_eq!(fast.swaps, reference.swaps, "swaps diverged: {ctx}");
+    assert_eq!(fast.migrations, reference.migrations, "migrations diverged: {ctx}");
     assert_eq!(
         fast.window_decisions, reference.window_decisions,
         "window decisions diverged: {ctx}"

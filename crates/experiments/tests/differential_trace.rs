@@ -10,10 +10,10 @@ use ampsched_cpu::CoreConfig;
 use ampsched_experiments::common::{run_pair, sample_pairs, Params, SchedKind};
 use ampsched_experiments::profiling;
 use ampsched_system::single::run_alone_with;
-use ampsched_system::RunResult;
+use ampsched_system::TopoRunResult;
 use ampsched_trace::{suite, TracePath};
 
-fn assert_bit_identical(arena: &RunResult, stream: &RunResult, ctx: &str) {
+fn assert_bit_identical(arena: &TopoRunResult, stream: &TopoRunResult, ctx: &str) {
     assert_eq!(arena.scheduler, stream.scheduler, "{ctx}");
     assert_eq!(arena.cycles, stream.cycles, "cycles diverged: {ctx}");
     assert_eq!(arena.swaps, stream.swaps, "swaps diverged: {ctx}");

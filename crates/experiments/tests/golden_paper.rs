@@ -46,7 +46,7 @@ fn golden_misplaced_pair_ranking_and_decision_counts() {
     let rr = run_pair(&pair, &SchedKind::RoundRobin(1), preds, &params);
 
     // IPC/Watt ranking, strict: Proposed > HPE > RR on this pair.
-    let sum = |r: &ampsched_system::RunResult| {
+    let sum = |r: &ampsched_system::TopoRunResult| {
         let p = r.ipc_per_watt();
         p[0] + p[1]
     };

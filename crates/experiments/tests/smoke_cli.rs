@@ -129,7 +129,7 @@ fn ampsched_overhead_emits_sweep_points() {
 }
 
 #[test]
-fn ampsched_rr_interval_emits_per_pair_results() {
+fn ampsched_rr_interval_emits_results_per_pair() {
     let doc = run_with_json("rr-interval", QUICK);
     let section = doc.get("rr_interval").expect("rr_interval section");
     assert!(section

@@ -1,22 +1,18 @@
 //! The dual-core AMP: the paper's fixed 2-core × 2-thread shape, as a
-//! thin pair-shaped facade over the generalized
-//! [`MulticoreSystem`].
+//! constructor over the generalized [`MulticoreSystem`].
 //!
 //! The scheduling loop itself lives in [`crate::topo`]; this module pins
 //! the paper's shape ([`Topology::duo`]: FP core 0, INT core 1, two
-//! threads), hands the [`Scheduler`] straight to that loop, and
-//! re-exposes the original pair-typed result structures. The facade is
-//! pure projection — no arithmetic is redone — so every experiment and
-//! golden built on [`DualCoreSystem`] is byte-identical to the
-//! pre-generalization loop (enforced by the compatibility and
-//! differential suites).
+//! threads) and hands the [`Scheduler`] straight to that loop. A run
+//! returns the loop's own [`TopoRunResult`]; code that inspects the
+//! system between runs builds `MulticoreSystem::new(cfg, &Topology::duo(),
+//! ..)` directly.
 
-use ampsched_core::{Assignment, DecisionExplain, Scheduler};
+use ampsched_core::Scheduler;
 use ampsched_mem::MemConfig;
-use ampsched_metrics::ThreadMetrics;
 use ampsched_trace::Workload;
 
-use crate::topo::{MulticoreSystem, Topology, TopoDecisionRecord, TopoRunResult};
+use crate::topo::{MulticoreSystem, Topology, TopoRunResult};
 
 /// Which simulation kernel a run uses.
 ///
@@ -68,161 +64,9 @@ impl Default for SystemConfig {
     }
 }
 
-/// Which kind of decision point produced a [`DecisionRecord`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecisionKind {
-    /// Fine-grained monitoring-window callback.
-    Window,
-    /// OS context-switch epoch callback.
-    Epoch,
-}
-
-/// Observed per-thread hardware-counter values over the period a
-/// decision was based on (the scheduler's inputs, indexed by thread id).
-///
-/// Ratios are guarded: a zero-cycle or zero-energy period reports `0.0`
-/// rather than NaN so records stay `PartialEq`-comparable in the
-/// differential suites.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct DecisionThread {
-    /// Percentage of committed instructions that were INT ops.
-    pub int_pct: f64,
-    /// Percentage of committed instructions that were FP ops.
-    pub fp_pct: f64,
-    /// Instructions the thread committed in the period.
-    pub instructions: u64,
-    /// Observed IPC over the period.
-    pub ipc: f64,
-    /// Observed IPC/Watt over the period (the paper's figure of merit).
-    pub ipc_per_watt: f64,
-}
-
-/// One scheduler decision point: when it fired, what it chose, and the
-/// full audit trail of why — the predictor's inputs ([`DecisionThread`]),
-/// its outputs ([`DecisionExplain`]), the cost charged for a swap, and
-/// the post-hoc misprediction attribution filled in at end of run.
-///
-/// The per-decision trace lets the differential harness assert that the
-/// fast and reference kernels agree not just on totals but on every
-/// individual swap choice — including every predictor output, since the
-/// whole record is compared with `PartialEq`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DecisionRecord {
-    /// Cycle at which the decision point fired.
-    pub cycle: u64,
-    /// Window or epoch boundary.
-    pub kind: DecisionKind,
-    /// Whether the scheduler ordered a swap.
-    pub swap: bool,
-    /// Observed per-thread counters over the decision period.
-    pub threads: [DecisionThread; 2],
-    /// Predictor state behind the decision (None for schemes that do not
-    /// implement `Scheduler::explain_last`).
-    pub explain: Option<DecisionExplain>,
-    /// Cycles charged for the swap (0 when the decision was Stay).
-    pub swap_cost_cycles: u64,
-    /// Post-hoc: mean per-thread IPC/Watt ratio of the *following*
-    /// decision period over this one. `None` for the last record or when
-    /// a period observed no energy.
-    pub realized_speedup: Option<f64>,
-    /// Post-hoc: predicted minus realized speedup, for swap decisions
-    /// whose scheme published a prediction. Positive = the predictor
-    /// over-promised.
-    pub mispredict: Option<f64>,
-    /// Post-hoc: whether the oracle's post-decision assignment at the
-    /// same epoch decision point was the swapped one (`None` outside
-    /// regret attribution and on window records).
-    pub oracle_action: Option<bool>,
-    /// Post-hoc: the oracle's epoch IPC/Watt value minus this run's
-    /// (`None` where unattributed; never NaN).
-    pub regret: Option<f64>,
-}
-
-/// Outcome of one multiprogrammed run.
-#[derive(Debug, Clone)]
-pub struct RunResult {
-    /// Scheduler name the run used.
-    pub scheduler: String,
-    /// Total cycles simulated.
-    pub cycles: u64,
-    /// Per-thread metrics (instructions, shared cycle count, attributed
-    /// energy) — feed directly into IPC/Watt and the speedup formulas.
-    pub threads: [ThreadMetrics; 2],
-    /// Thread swaps actually performed.
-    pub swaps: u64,
-    /// Fine-grained decision points evaluated (window callbacks).
-    pub window_decisions: u64,
-    /// Epoch decision points evaluated.
-    pub epoch_decisions: u64,
-    /// Every decision point in order, with the choice taken.
-    pub decisions: Vec<DecisionRecord>,
-}
-
-impl RunResult {
-    /// Per-thread IPC/Watt values, the paper's figure of merit.
-    pub fn ipc_per_watt(&self) -> [f64; 2] {
-        [self.threads[0].ipc_per_watt(), self.threads[1].ipc_per_watt()]
-    }
-
-    /// Fraction of all decision points, window and epoch, that issued a
-    /// swap.
-    pub fn swap_rate(&self) -> f64 {
-        let points = self.window_decisions + self.epoch_decisions;
-        if points == 0 {
-            0.0
-        } else {
-            self.swaps as f64 / points as f64
-        }
-    }
-}
-
-/// Project a generalized decision record onto the pair shape. Pure field
-/// copies — no value is recomputed.
-fn pair_decision(d: TopoDecisionRecord) -> DecisionRecord {
-    debug_assert_eq!(d.threads.len(), 2, "dual-core record");
-    DecisionRecord {
-        cycle: d.cycle,
-        kind: d.kind,
-        swap: d.changed,
-        threads: [
-            DecisionThread {
-                int_pct: d.threads[0].int_pct,
-                fp_pct: d.threads[0].fp_pct,
-                instructions: d.threads[0].instructions,
-                ipc: d.threads[0].ipc,
-                ipc_per_watt: d.threads[0].ipc_per_watt,
-            },
-            DecisionThread {
-                int_pct: d.threads[1].int_pct,
-                fp_pct: d.threads[1].fp_pct,
-                instructions: d.threads[1].instructions,
-                ipc: d.threads[1].ipc,
-                ipc_per_watt: d.threads[1].ipc_per_watt,
-            },
-        ],
-        explain: d.explain,
-        swap_cost_cycles: d.swap_cost_cycles,
-        realized_speedup: d.realized_speedup,
-        mispredict: d.mispredict,
-        // "Swapped" in pair terms: the oracle placed thread 0 on core 1.
-        oracle_action: d.oracle_action.as_ref().map(|a| a.first().copied().flatten() == Some(1)),
-        regret: d.regret,
-    }
-}
-
-/// Project a generalized run result onto the pair shape.
-fn pair_result(r: TopoRunResult) -> RunResult {
-    debug_assert_eq!(r.threads.len(), 2, "dual-core result");
-    RunResult {
-        scheduler: r.scheduler,
-        cycles: r.cycles,
-        threads: [r.threads[0], r.threads[1]],
-        swaps: r.swaps,
-        window_decisions: r.window_decisions,
-        epoch_decisions: r.epoch_decisions,
-        decisions: r.decisions.into_iter().map(pair_decision).collect(),
-    }
-}
+/// The pair-era name of [`TopoRunResult`]: a dual-core run's result is
+/// the 2×2 case of the generalized one.
+pub type RunResult = TopoRunResult;
 
 /// The dual-core asymmetric system (core 0 = FP, core 1 = INT).
 pub struct DualCoreSystem {
@@ -240,43 +84,6 @@ impl DualCoreSystem {
         }
     }
 
-    /// Current thread→core assignment.
-    pub fn assignment(&self) -> Assignment {
-        self.inner
-            .assignment()
-            .as_pair()
-            .expect("dual-core system keeps the 2×2 shape")
-    }
-
-    /// Current cycle.
-    pub fn cycle(&self) -> u64 {
-        self.inner.cycle()
-    }
-
-    /// Per-thread committed instructions so far.
-    pub fn thread_instructions(&self) -> [u64; 2] {
-        let v = self.inner.thread_instructions();
-        [v[0], v[1]]
-    }
-
-    /// Swaps performed so far.
-    pub fn swaps(&self) -> u64 {
-        self.inner.swaps()
-    }
-
-    /// Per-core microarchitectural state digests (differential-testing
-    /// hook: two runs that agree cycle-for-cycle must produce equal
-    /// digests whenever they are paused at the same cycle).
-    pub fn core_digests(&self) -> [u64; 2] {
-        let v = self.inner.core_digests();
-        [v[0], v[1]]
-    }
-
-    /// Total joules accounted across both cores (conservation checks).
-    pub fn accounted_joules(&self) -> f64 {
-        self.inner.accounted_joules()
-    }
-
     /// Run under `scheduler` until one thread commits `target_insts`
     /// instructions (the paper's stop condition) or `max_cycles` elapses.
     pub fn run(
@@ -284,8 +91,8 @@ impl DualCoreSystem {
         scheduler: &mut dyn Scheduler,
         target_insts: u64,
         max_cycles: u64,
-    ) -> RunResult {
-        pair_result(self.inner.run(scheduler, target_insts, max_cycles))
+    ) -> TopoRunResult {
+        self.inner.run(scheduler, target_insts, max_cycles)
     }
 }
 
@@ -330,16 +137,17 @@ mod tests {
     fn misplaced_pair_gets_swapped_by_proposed() {
         // intstress starts on the FP core (thread 0), fpstress on the INT
         // core: the proposed scheduler must correct this quickly.
-        let mut sys = DualCoreSystem::new(
+        let mut sys = MulticoreSystem::new(
             quick_cfg(),
-            [workload("intstress", 0), workload("fpstress", 1)],
+            &Topology::duo(),
+            vec![workload("intstress", 0), workload("fpstress", 1)],
         );
         let mut sched = TopoProposed::with_defaults(2);
         let r = sys.run(&mut sched, 100_000, 10_000_000);
         assert!(r.swaps >= 1, "misplacement must trigger a swap");
         assert_eq!(
             sys.assignment().core_of(0),
-            ampsched_core::CoreKind::Int,
+            Some(1),
             "intstress must end on the INT core"
         );
         assert!(r.window_decisions > 10);
@@ -412,9 +220,10 @@ mod tests {
 
     #[test]
     fn energy_is_conserved_across_attribution() {
-        let mut sys = DualCoreSystem::new(
+        let mut sys = MulticoreSystem::new(
             quick_cfg(),
-            [workload("pi", 0), workload("sha", 1)],
+            &Topology::duo(),
+            vec![workload("pi", 0), workload("sha", 1)],
         );
         let mut sched = TopoRoundRobin::every_epoch();
         let r = sys.run(&mut sched, 100_000, 2_000_000);
@@ -455,12 +264,12 @@ mod tests {
         assert!(!r.decisions.is_empty());
         for d in &r.decisions {
             // The proposed scheme explains every window decision.
-            if d.kind == DecisionKind::Window {
+            if d.kind == crate::topo::DecisionKind::Window {
                 let e = d.explain.expect("proposed implements explain_last");
                 assert_eq!(e.source, ampsched_core::PredictorSource::Rules);
                 assert!(e.vote_depth == Some(5));
             }
-            assert_eq!(d.swap_cost_cycles, if d.swap { 1000 } else { 0 });
+            assert_eq!(d.swap_cost_cycles, if d.changed { 1000 } else { 0 });
             for t in &d.threads {
                 assert!(t.ipc.is_finite() && t.ipc_per_watt.is_finite());
                 assert!(t.int_pct >= 0.0 && t.fp_pct >= 0.0);

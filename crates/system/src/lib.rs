@@ -16,8 +16,10 @@
 //!
 //! [`DualCoreSystem`] is the paper's fixed shape — one FP-flavored core
 //! (core 0, Figure 1's "core A") and one INT-flavored core (core 1,
-//! "core B"), two threads — as a thin facade over [`MulticoreSystem`]
-//! that keeps the original pair-typed results byte-identical.
+//! "core B"), two threads — as a constructor over [`MulticoreSystem`]
+//! ([`Topology::duo`]). Every run, on any shape, returns one result type,
+//! [`TopoRunResult`], whose [`TopoDecisionRecord`]s are the decision audit
+//! trail; [`RunResult`] is its pair-era name.
 //!
 //! [`SingleCoreRunner`] runs one workload alone on one core type with
 //! periodic interval sampling — the substrate for Figure 1 and the
@@ -27,11 +29,9 @@ pub mod duo;
 pub mod single;
 pub mod topo;
 
-pub use duo::{
-    DecisionKind, DecisionRecord, DecisionThread, DualCoreSystem, RunResult, SimPath, SystemConfig,
-};
+pub use duo::{DualCoreSystem, RunResult, SimPath, SystemConfig};
 pub use single::{run_alone, run_alone_with, IntervalSample, SingleCoreRunner, SingleRunResult};
 pub use topo::{
-    attribute_regret, derive_traits, MulticoreSystem, Topology, TopoDecisionRecord,
+    attribute_regret, derive_traits, DecisionKind, MulticoreSystem, Topology, TopoDecisionRecord,
     TopoDecisionThread, TopoRunResult,
 };

@@ -26,7 +26,7 @@ use ampsched_metrics::ThreadMetrics;
 use ampsched_power::{EnergyAccount, EnergyModel};
 use ampsched_trace::Workload;
 
-use crate::duo::{DecisionKind, SimPath, SystemConfig};
+use crate::duo::{SimPath, SystemConfig};
 
 /// An arbitrary machine shape: heterogeneous cores over a shared L2,
 /// co-running `threads` software threads.
@@ -106,8 +106,21 @@ pub fn derive_traits(index: usize, cfg: &CoreConfig) -> CoreTraits {
     }
 }
 
-/// Observed per-thread counters behind one generalized decision point
-/// (the N×M form of [`DecisionThread`](crate::DecisionThread)).
+/// Which kind of decision point produced a [`TopoDecisionRecord`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecisionKind {
+    /// Fine-grained monitoring-window callback.
+    Window,
+    /// OS context-switch epoch callback.
+    Epoch,
+}
+
+/// Observed per-thread counters over the period a decision was based on
+/// (the scheduler's inputs, indexed by thread id).
+///
+/// Ratios are guarded: a zero-cycle or zero-energy period reports `0.0`
+/// rather than NaN so records stay `PartialEq`-comparable in the
+/// differential suites.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TopoDecisionThread {
     /// Percentage of committed instructions that were INT ops.
@@ -125,9 +138,15 @@ pub struct TopoDecisionThread {
     pub core: Option<usize>,
 }
 
-/// One generalized decision point with its full audit trail, including
-/// the assignment dimension: where every thread sat after the decision
-/// and which threads migrated.
+/// One scheduler decision point: when it fired, what it chose, and the
+/// full audit trail of why — the predictor's inputs
+/// ([`TopoDecisionThread`]), its outputs ([`DecisionExplain`]), where
+/// every thread sat after the decision and which threads migrated, the
+/// cost charged, and the post-hoc attribution filled in at end of run.
+///
+/// The differential harness compares whole records with `PartialEq`, so
+/// the fast and reference kernels must agree on every individual choice
+/// and every predictor output, not just on totals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopoDecisionRecord {
     /// Cycle at which the decision point fired.
@@ -171,11 +190,10 @@ pub struct TopoRunResult {
     pub cycles: u64,
     /// Per-thread metrics, by thread id.
     pub threads: Vec<ThreadMetrics>,
-    /// Reassignment events performed so far (cumulative over the
-    /// system's lifetime, like [`RunResult::swaps`](crate::RunResult)).
+    /// Reassignment events performed in this call.
     pub swaps: u64,
-    /// Individual thread migrations so far (one reassignment can move
-    /// several threads).
+    /// Individual thread migrations in this call (one reassignment can
+    /// move several threads).
     pub migrations: u64,
     /// Window decision points evaluated in this call.
     pub window_decisions: u64,
@@ -194,6 +212,17 @@ impl TopoRunResult {
     /// Sum of per-thread IPC values (system throughput).
     pub fn total_ipc(&self) -> f64 {
         self.threads.iter().map(|t| t.ipc()).sum()
+    }
+
+    /// Fraction of all decision points, window and epoch, that
+    /// reassigned threads.
+    pub fn swap_rate(&self) -> f64 {
+        let points = self.window_decisions + self.epoch_decisions;
+        if points == 0 {
+            0.0
+        } else {
+            self.swaps as f64 / points as f64
+        }
     }
 }
 
@@ -543,6 +572,7 @@ impl MulticoreSystem {
         let mut epoch_decisions = 0u64;
         let mut decisions = Vec::new();
         let start_cycle = self.cycle;
+        let (start_swaps, start_migrations) = (self.swaps, self.migrations);
         let start_insts = self.thread_insts.clone();
         let start_joules_settled = {
             self.settle_energy();
@@ -727,8 +757,8 @@ impl MulticoreSystem {
             scheduler: scheduler.name().to_string(),
             cycles,
             threads,
-            swaps: self.swaps,
-            migrations: self.migrations,
+            swaps: self.swaps - start_swaps,
+            migrations: self.migrations - start_migrations,
             window_decisions,
             epoch_decisions,
             decisions,

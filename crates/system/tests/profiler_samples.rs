@@ -47,8 +47,8 @@ fn duo_stream(sim_path: SimPath) -> Vec<PipeSample> {
         pair("gcc", "equake", 7),
     );
     let mut sched = TopoRoundRobin::every_epoch();
-    sys.run(&mut sched, u64::MAX / 2, 100_000);
-    assert!(sys.swaps() > 0, "horizon must cross at least one swap");
+    let r = sys.run(&mut sched, u64::MAX / 2, 100_000);
+    assert!(r.swaps > 0, "horizon must cross at least one swap");
     profiler::snapshot()
 }
 

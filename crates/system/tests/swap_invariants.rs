@@ -1,8 +1,10 @@
 //! System-level invariants of the swap machinery and the extension
 //! schedulers, exercised end-to-end.
 
-use ampsched_core::{ExtendedScheduler, SamplingScheduler, TopoProposed, TopoRoundRobin};
-use ampsched_system::{DualCoreSystem, SystemConfig};
+use ampsched_core::{
+    AssignmentMap, ExtendedScheduler, SamplingScheduler, TopoProposed, TopoRoundRobin,
+};
+use ampsched_system::{DualCoreSystem, MulticoreSystem, SystemConfig, Topology};
 use ampsched_trace::{suite, TraceGenerator, Workload};
 
 fn pair(a: &str, b: &str, seed: u64) -> [Box<dyn Workload>; 2] {
@@ -20,6 +22,12 @@ fn pair(a: &str, b: &str, seed: u64) -> [Box<dyn Workload>; 2] {
     ]
 }
 
+/// The paper's dual-core machine, built directly so the test can read its
+/// state between and after runs.
+fn duo(cfg: SystemConfig, workloads: [Box<dyn Workload>; 2]) -> MulticoreSystem {
+    MulticoreSystem::new(cfg, &Topology::duo(), workloads.into())
+}
+
 fn cfg(epoch: u64) -> SystemConfig {
     SystemConfig {
         epoch_cycles: epoch,
@@ -29,15 +37,31 @@ fn cfg(epoch: u64) -> SystemConfig {
 
 #[test]
 fn assignment_parity_tracks_swap_count() {
-    let mut sys = DualCoreSystem::new(cfg(80_000), pair("gzip", "apsi", 3));
+    let mut sys = duo(cfg(80_000), pair("gzip", "apsi", 3));
     let mut sched = TopoRoundRobin::every_epoch();
     let r = sys.run(&mut sched, 400_000, 30_000_000);
     assert!(r.swaps > 0);
     assert_eq!(
-        sys.assignment().swapped,
-        r.swaps % 2 == 1,
+        sys.assignment(),
+        &AssignmentMap::pair(r.swaps % 2 == 1),
         "assignment must equal swap-count parity"
     );
+}
+
+#[test]
+fn chunked_runs_report_per_call_swaps() {
+    let mut sys = duo(cfg(50_000), pair("gzip", "apsi", 3));
+    let mut sched = TopoRoundRobin::every_epoch();
+    let first = sys.run(&mut sched, u64::MAX / 2, 400_000);
+    assert_eq!(first.swaps, sys.swaps());
+    assert_eq!(first.migrations, sys.migrations());
+    let (swaps_before, migrations_before) = (sys.swaps(), sys.migrations());
+    let second = sys.run(&mut sched, u64::MAX / 2, 400_000);
+    assert!(second.swaps > 0, "round robin must swap in the second chunk");
+    assert_eq!(second.swaps, sys.swaps() - swaps_before);
+    assert_eq!(second.migrations, sys.migrations() - migrations_before);
+    assert!(second.swaps <= second.window_decisions + second.epoch_decisions);
+    assert!(second.swap_rate() <= 1.0);
 }
 
 #[test]
@@ -55,7 +79,7 @@ fn sampling_scheduler_probes_and_completes() {
 fn sampling_settles_on_the_good_assignment_for_complementary_pairs() {
     // sha (INT) starts on the FP core — misplaced. After a probe, the
     // sampler should adopt the swapped (correct) assignment.
-    let mut sys = DualCoreSystem::new(cfg(60_000), pair("sha", "ammp", 5));
+    let mut sys = duo(cfg(60_000), pair("sha", "ammp", 5));
     let mut sched = SamplingScheduler::new(2);
     let _ = sys.run(&mut sched, 600_000, 60_000_000);
     assert!(
@@ -64,7 +88,7 @@ fn sampling_settles_on_the_good_assignment_for_complementary_pairs() {
     );
     assert_eq!(
         sys.assignment().core_of(0),
-        ampsched_core::CoreKind::Int,
+        Some(1),
         "sha should settle on the INT core"
     );
 }
@@ -131,7 +155,7 @@ fn destructive_l1_flush_costs_performance() {
     let keep = run(false);
     let flush = run(true);
     assert!(flush.swaps > 3 && keep.swaps > 3);
-    let ipc = |r: &ampsched_system::RunResult| r.threads[0].ipc() + r.threads[1].ipc();
+    let ipc = |r: &ampsched_system::TopoRunResult| r.threads[0].ipc() + r.threads[1].ipc();
     assert!(
         ipc(&flush) <= ipc(&keep) * 1.001,
         "flushing L1s on every swap must not help: {} vs {}",
@@ -142,7 +166,7 @@ fn destructive_l1_flush_costs_performance() {
 
 #[test]
 fn swaps_preserve_total_progress_accounting() {
-    let mut sys = DualCoreSystem::new(cfg(50_000), pair("mixstress", "ffti", 13));
+    let mut sys = duo(cfg(50_000), pair("mixstress", "ffti", 13));
     let mut sched = TopoRoundRobin::every_epoch();
     let r = sys.run(&mut sched, 500_000, 50_000_000);
     // The run-result instruction counts must match the system's view.

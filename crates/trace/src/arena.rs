@@ -61,7 +61,7 @@
 //! enforced by the round-trip tests here, the `util::check` properties in
 //! `crates/trace/tests/prop_generator.rs` (with corpus persistence), the
 //! `differential_trace` suite in `crates/experiments/tests/` (full
-//! `RunResult` equality across seeds and schedulers), and the exact
+//! `TopoRunResult` equality across seeds and schedulers), and the exact
 //! golden cycle counts in `golden_paper.rs`, which run on the arena
 //! default.
 

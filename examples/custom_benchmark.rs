@@ -42,7 +42,7 @@ fn game_loop() -> BenchmarkSpec {
     )
 }
 
-fn run_with(scheduler: &mut dyn Scheduler, seed: u64) -> RunResult {
+fn run_with(scheduler: &mut dyn Scheduler, seed: u64) -> TopoRunResult {
     // Deliberately misplaced initial assignment: sha (pure INT) starts on
     // the FP core, the FP-leaning game loop starts on the INT core.
     let workloads: [Box<dyn Workload>; 2] = [

@@ -45,4 +45,9 @@ fn main() {
             m.ipc_per_watt()
         );
     }
+    // The audit trail: each decision point and where every thread sat
+    // after it.
+    if let Some(d) = result.decisions.first() {
+        println!("cycle {}: changed {}, thread→core {:?}", d.cycle, d.changed, d.assignment);
+    }
 }

@@ -38,8 +38,8 @@
 //! let mut system = DualCoreSystem::new(SystemConfig::default(), workloads);
 //! let mut scheduler = TopoProposed::with_defaults(2);
 //! let result = system.run(&mut scheduler, 200_000, 20_000_000);
-//! let [ppw0, ppw1] = result.ipc_per_watt();
-//! assert!(ppw0 > 0.0 && ppw1 > 0.0);
+//! let ppw = result.ipc_per_watt();
+//! assert!(ppw[0] > 0.0 && ppw[1] > 0.0);
 //! ```
 
 pub use ampsched_core as sched;
@@ -56,11 +56,11 @@ pub use ampsched_trace as workloads;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use ampsched_core::{
-        Assignment, AssignmentMap, CampScheduler, CoreKind, CoreTraits, Decision, ExtendedConfig,
-        ExtendedScheduler, HpePredictor, MatrixFineScheduler, ProposedConfig, RatioMatrix,
-        RatioSurface, SamplingScheduler, Scheduler, SwapRules, ThreadWindow, TopoDecision,
-        TopoHpe, TopoProposed, TopoRoundRobin, TopoScheduler, TopoSnapshot, TopoStatic,
-        TpeScheduler, WindowSnapshot,
+        AssignmentMap, CampScheduler, CoreTraits, Decision, ExtendedConfig, ExtendedScheduler,
+        HpePredictor, MatrixFineScheduler, ProposedConfig, RatioMatrix, RatioSurface,
+        SamplingScheduler, Scheduler, SwapRules, ThreadWindow, TopoDecision, TopoHpe,
+        TopoProposed, TopoRoundRobin, TopoScheduler, TopoSnapshot, TopoStatic, TpeScheduler,
+        WindowSnapshot,
     };
     pub use ampsched_cpu::{Core, CoreConfig, CoreFlavor};
     pub use ampsched_mem::{MemConfig, MemSystem};

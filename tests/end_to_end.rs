@@ -20,25 +20,27 @@ fn pair(a: &str, b: &str, seed: u64) -> [Box<dyn Workload>; 2] {
     ]
 }
 
+fn quick_cfg() -> SystemConfig {
+    SystemConfig {
+        epoch_cycles: 200_000,
+        ..SystemConfig::default()
+    }
+}
+
 fn quick_system(workloads: [Box<dyn Workload>; 2]) -> DualCoreSystem {
-    DualCoreSystem::new(
-        SystemConfig {
-            epoch_cycles: 200_000,
-            ..SystemConfig::default()
-        },
-        workloads,
-    )
+    DualCoreSystem::new(quick_cfg(), workloads)
 }
 
 #[test]
 fn proposed_scheduler_corrects_a_misplaced_pair_end_to_end() {
     // intstress starts on the FP core, fpstress on the INT core — the
     // worst possible initial assignment.
-    let mut sys = quick_system(pair("intstress", "fpstress", 5));
+    let mut sys =
+        MulticoreSystem::new(quick_cfg(), &Topology::duo(), pair("intstress", "fpstress", 5).into());
     let mut sched = TopoProposed::with_defaults(2);
     let r = sys.run(&mut sched, 300_000, 30_000_000);
     assert!(r.swaps >= 1);
-    assert_eq!(sys.assignment().core_of(0), CoreKind::Int);
+    assert_eq!(sys.assignment().core_of(0), Some(1), "intstress must end on the INT core");
 
     // Compare against never swapping, same workloads and seeds.
     let mut sys2 = quick_system(pair("intstress", "fpstress", 5));

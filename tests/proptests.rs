@@ -234,9 +234,14 @@ fn assignment_roundtrip() {
         "assignment_roundtrip",
         |s: &mut Source| (s.bool(), s.usize_in(0, 2)),
         |&(swapped, t)| {
-            let a = Assignment { swapped };
-            prop_assert_eq!(a.thread_on(a.core_of(t)), t);
-            prop_assert_eq!(a.toggled().toggled(), a);
+            let a = AssignmentMap::pair(swapped);
+            let core = a.core_of(t).expect("both pair threads run");
+            prop_assert_eq!(a.thread_on(core), Some(t));
+            let mut twice = a.clone();
+            twice.swap_threads(0, 1);
+            prop_assert_eq!(twice, AssignmentMap::pair(!swapped));
+            twice.swap_threads(0, 1);
+            prop_assert_eq!(twice, a.clone());
             prop_assert_ne!(a.core_of(0), a.core_of(1));
             Ok(())
         },

@@ -15,6 +15,9 @@
 //!    on failure, with failing inputs persisted to
 //!    `results/corpus/soak_differential.json` and replayed first on
 //!    every later run.
+//!
+//! Both layers run twice through one lockstep driver: on the paper's
+//! dual-core machine (`Topology::duo()`) and on a 4+4 big.LITTLE shape.
 
 use ampsched::prelude::*;
 use ampsched_util::check::{Checker, Source};
@@ -36,145 +39,32 @@ struct StormScheduler {
     window: u64,
 }
 
-impl Scheduler for StormScheduler {
+impl TopoScheduler for StormScheduler {
     fn name(&self) -> &'static str {
         "storm"
     }
     fn window_insts(&self) -> Option<u64> {
         Some(self.window)
     }
-    fn on_window(&mut self, snap: &WindowSnapshot) -> Decision {
+    fn on_window(&mut self, snap: &TopoSnapshot) -> TopoDecision {
         swap(snap)
     }
-    fn on_epoch(&mut self, snap: &WindowSnapshot) -> Decision {
+    fn on_epoch(&mut self, snap: &TopoSnapshot) -> TopoDecision {
         swap(snap)
     }
 }
 
 /// Exchange the two threads of a dual-core snapshot.
-fn swap(snap: &WindowSnapshot) -> Decision {
+fn swap(snap: &TopoSnapshot) -> TopoDecision {
     let mut next = snap.assignment.clone();
     next.swap_threads(0, 1);
-    Decision::Reassign(next)
+    TopoDecision::Reassign(next)
 }
 
 /// Factory for fresh scheduler instances — each soak side gets its own.
-type MakeSched = dyn Fn() -> Box<dyn Scheduler>;
+type MakeSched = dyn Fn() -> Box<dyn TopoScheduler>;
 
-fn pair(a: &str, b: &str, seed: u64) -> [Box<dyn Workload>; 2] {
-    [
-        Box::new(TraceGenerator::for_thread(
-            suite::by_name(a).expect("benchmark"),
-            seed,
-            0,
-        )),
-        Box::new(TraceGenerator::for_thread(
-            suite::by_name(b).expect("benchmark"),
-            seed,
-            1,
-        )),
-    ]
-}
-
-fn system(sim_path: ampsched_system::SimPath, workloads: [Box<dyn Workload>; 2]) -> DualCoreSystem {
-    DualCoreSystem::new(
-        SystemConfig {
-            // Short epochs so a soak crosses many epoch decisions.
-            epoch_cycles: 50_000,
-            sim_path,
-            ..SystemConfig::default()
-        },
-        workloads,
-    )
-}
-
-/// Drive a fast and a reference system over the same workloads in
-/// lockstep chunks of `CHUNK` cycles, asserting digest + counter
-/// equality at every checkpoint. Both systems are chunked identically,
-/// so the (chunk-relative) window/epoch bookkeeping matches by
-/// construction. Returns the checkpoint count.
-fn soak_lockstep(
-    a: &str,
-    b: &str,
-    seed: u64,
-    make_sched: &MakeSched,
-    cycles: u64,
-    mut on_mismatch: impl FnMut(String) -> Result<(), String>,
-) -> Result<u64, String> {
-    let mut fast = system(ampsched_system::SimPath::Fast, pair(a, b, seed));
-    let mut refc = system(ampsched_system::SimPath::Reference, pair(a, b, seed));
-    let mut fast_sched = make_sched();
-    let mut ref_sched = make_sched();
-    let mut checkpoints = 0u64;
-    while fast.cycle() < cycles {
-        // Instruction target far above what a chunk can commit: the
-        // chunk boundary is the cycle budget, identical on both sides.
-        fast.run(&mut *fast_sched, u64::MAX / 2, CHUNK);
-        refc.run(&mut *ref_sched, u64::MAX / 2, CHUNK);
-        checkpoints += 1;
-        let cp = format!(
-            "pair {a}+{b} seed {seed} sched {} cycle {}",
-            fast_sched.name(),
-            fast.cycle()
-        );
-        if fast.cycle() != refc.cycle() {
-            on_mismatch(format!("cycle counts diverged at checkpoint: {cp}"))?;
-        }
-        if fast.core_digests() != refc.core_digests() {
-            on_mismatch(format!("core state digests diverged: {cp}"))?;
-        }
-        if fast.thread_instructions() != refc.thread_instructions() {
-            on_mismatch(format!("committed instruction counts diverged: {cp}"))?;
-        }
-        if fast.swaps() != refc.swaps() {
-            on_mismatch(format!("swap counts diverged: {cp}"))?;
-        }
-        if fast.assignment() != refc.assignment() {
-            on_mismatch(format!("assignments diverged: {cp}"))?;
-        }
-    }
-    Ok(checkpoints)
-}
-
-/// The deterministic grid: 3 seeds × 3 scheduler families, each soaked
-/// for `SOAK_CYCLES` with per-chunk digest equality. The storm scheduler
-/// swaps at every window (an intentional worst case); round-robin swaps
-/// every epoch; the proposed scheme swaps on its own rules.
-#[test]
-fn soak_grid_fast_matches_reference() {
-    let pairs = [("gcc", "equake"), ("mcf", "swim"), ("intstress", "fpstress")];
-    let schedulers: [(&str, &MakeSched); 3] = [
-        ("storm", &|| Box::new(StormScheduler { window: 20_000 })),
-        ("rr", &|| Box::new(TopoRoundRobin::every_epoch())),
-        ("static", &|| Box::new(TopoStatic)),
-    ];
-    for (i, &(a, b)) in pairs.iter().enumerate() {
-        let seed = 2012 + i as u64;
-        for (label, make) in &schedulers {
-            let checkpoints = soak_lockstep(a, b, seed, *make, SOAK_CYCLES, Err)
-                .unwrap_or_else(|msg| panic!("[{label}] {msg}"));
-            assert!(
-                checkpoints >= SOAK_CYCLES / CHUNK,
-                "soak must cover the full horizon ({checkpoints} checkpoints)"
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// N-core tier: the generalized MulticoreSystem soaked fast-vs-reference
-// on a big.LITTLE 4+4 shape under the zoo schedulers that move threads
-// the most (TPE re-ranks every epoch, CAMP-dynamic re-matches every
-// epoch, round-robin rotates unconditionally).
-// ---------------------------------------------------------------------------
-
-/// Factory for fresh generalized-scheduler instances.
-type MakeTopoSched = dyn Fn() -> Box<dyn TopoScheduler>;
-
-const NCORE_BENCHES: [&str; 8] =
-    ["gcc", "equake", "mcf", "swim", "gsm", "intstress", "fpstress", "branchstress"];
-
-fn topo_workloads(benches: &[&str], seed: u64) -> Vec<Box<dyn Workload>> {
+fn workloads(benches: &[&str], seed: u64) -> Vec<Box<dyn Workload>> {
     benches
         .iter()
         .enumerate()
@@ -188,7 +78,7 @@ fn topo_workloads(benches: &[&str], seed: u64) -> Vec<Box<dyn Workload>> {
         .collect()
 }
 
-fn topo_system(
+fn system(
     sim_path: ampsched_system::SimPath,
     topo: &Topology,
     benches: &[&str],
@@ -196,37 +86,44 @@ fn topo_system(
 ) -> MulticoreSystem {
     MulticoreSystem::new(
         SystemConfig {
+            // Short epochs so a soak crosses many epoch decisions.
             epoch_cycles: 50_000,
             sim_path,
             ..SystemConfig::default()
         },
         topo,
-        topo_workloads(benches, seed),
+        workloads(benches, seed),
     )
 }
 
-/// The generalized form of [`soak_lockstep`]: same chunked cadence, plus
-/// migration totals and the full thread→core assignment at every
-/// checkpoint.
-fn topo_soak_lockstep(
+/// Drive a fast and a reference system over the same workloads in
+/// lockstep chunks of `CHUNK` cycles, asserting digest, counter,
+/// swap/migration and thread→core assignment equality at every
+/// checkpoint. Both systems are chunked identically, so the
+/// (chunk-relative) window/epoch bookkeeping matches by construction.
+/// Returns the checkpoint count.
+fn soak_lockstep(
     topo: &Topology,
     benches: &[&str],
     seed: u64,
-    make_sched: &MakeTopoSched,
+    make_sched: &MakeSched,
     cycles: u64,
 ) -> Result<u64, String> {
-    let mut fast = topo_system(ampsched_system::SimPath::Fast, topo, benches, seed);
-    let mut refc = topo_system(ampsched_system::SimPath::Reference, topo, benches, seed);
+    let mut fast = system(ampsched_system::SimPath::Fast, topo, benches, seed);
+    let mut refc = system(ampsched_system::SimPath::Reference, topo, benches, seed);
     let mut fast_sched = make_sched();
     let mut ref_sched = make_sched();
     let mut checkpoints = 0u64;
     while fast.cycle() < cycles {
+        // Instruction target far above what a chunk can commit: the
+        // chunk boundary is the cycle budget, identical on both sides.
         fast.run(&mut *fast_sched, u64::MAX / 2, CHUNK);
         refc.run(&mut *ref_sched, u64::MAX / 2, CHUNK);
         checkpoints += 1;
         let cp = format!(
-            "topology {} seed {seed} sched {} cycle {}",
+            "topology {} threads {} seed {seed} sched {} cycle {}",
             topo.label(),
+            benches.join("+"),
             fast_sched.name(),
             fast.cycle()
         );
@@ -249,19 +146,55 @@ fn topo_soak_lockstep(
     Ok(checkpoints)
 }
 
+/// The deterministic grid: 3 seeds × 3 scheduler families, each soaked
+/// for `SOAK_CYCLES` with per-chunk digest equality. The storm scheduler
+/// swaps at every window (an intentional worst case); round-robin swaps
+/// every epoch; the proposed scheme swaps on its own rules.
+#[test]
+fn soak_grid_fast_matches_reference() {
+    let pairs = [("gcc", "equake"), ("mcf", "swim"), ("intstress", "fpstress")];
+    let schedulers: [(&str, &MakeSched); 3] = [
+        ("storm", &|| Box::new(StormScheduler { window: 20_000 })),
+        ("rr", &|| Box::new(TopoRoundRobin::every_epoch())),
+        ("static", &|| Box::new(TopoStatic)),
+    ];
+    let duo = Topology::duo();
+    for (i, &(a, b)) in pairs.iter().enumerate() {
+        let seed = 2012 + i as u64;
+        for (label, make) in &schedulers {
+            let checkpoints = soak_lockstep(&duo, &[a, b], seed, *make, SOAK_CYCLES)
+                .unwrap_or_else(|msg| panic!("[{label}] {msg}"));
+            assert!(
+                checkpoints >= SOAK_CYCLES / CHUNK,
+                "soak must cover the full horizon ({checkpoints} checkpoints)"
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// N-core tier: the generalized MulticoreSystem soaked fast-vs-reference
+// on a big.LITTLE 4+4 shape under the zoo schedulers that move threads
+// the most (TPE re-ranks every epoch, CAMP-dynamic re-matches every
+// epoch, round-robin rotates unconditionally).
+// ---------------------------------------------------------------------------
+
+const NCORE_BENCHES: [&str; 8] =
+    ["gcc", "equake", "mcf", "swim", "gsm", "intstress", "fpstress", "branchstress"];
+
 /// Deterministic N-core grid: a stock 4+4 big.LITTLE running eight
 /// threads, soaked for the full horizon under each mobile scheduler.
 #[test]
 fn soak_ncore_grid_fast_matches_reference() {
     let topo = Topology::big_little(4, 4, 8);
-    let schedulers: [(&str, &MakeTopoSched); 3] = [
+    let schedulers: [(&str, &MakeSched); 3] = [
         ("tpe", &|| Box::new(TpeScheduler::new())),
         ("camp-dynamic", &|| Box::new(CampScheduler::camp_dynamic(8))),
         ("rr", &|| Box::new(TopoRoundRobin::every_epoch())),
     ];
     for (i, (label, make)) in schedulers.iter().enumerate() {
         let checkpoints =
-            topo_soak_lockstep(&topo, &NCORE_BENCHES, 2012 + i as u64, *make, SOAK_CYCLES)
+            soak_lockstep(&topo, &NCORE_BENCHES, 2012 + i as u64, *make, SOAK_CYCLES)
                 .unwrap_or_else(|msg| panic!("[{label}] {msg}"));
         assert!(
             checkpoints >= SOAK_CYCLES / CHUNK,
@@ -304,14 +237,14 @@ fn soak_ncore_fuzzed_scenarios_fast_matches_reference() {
         .run("ncore_soak_scenarios", gen_ncore_scenario, |sc| {
             let threads = sc.benches.len();
             let topo = Topology::big_little(4, 4, threads);
-            let make: Box<MakeTopoSched> = match sc.sched {
+            let make: Box<MakeSched> = match sc.sched {
                 0 => Box::new(|| Box::new(TpeScheduler::new()) as Box<dyn TopoScheduler>),
                 1 => Box::new(move || {
                     Box::new(CampScheduler::camp_dynamic(threads)) as Box<dyn TopoScheduler>
                 }),
                 _ => Box::new(|| Box::new(TopoRoundRobin::every_epoch()) as Box<dyn TopoScheduler>),
             };
-            match topo_soak_lockstep(&topo, &sc.benches, sc.seed, &*make, sc.cycles) {
+            match soak_lockstep(&topo, &sc.benches, sc.seed, &*make, sc.cycles) {
                 Ok(n) => prop_assert!(n > 0, "soak must advance"),
                 Err(msg) => prop_assert!(false, "{}", msg),
             }
@@ -356,14 +289,13 @@ fn soak_fuzzed_scenarios_fast_matches_reference() {
             let make: Box<MakeSched> = match sc.sched {
                 0 => {
                     let w = sc.storm_window;
-                    Box::new(move || Box::new(StormScheduler { window: w }) as Box<dyn Scheduler>)
+                    Box::new(move || Box::new(StormScheduler { window: w }) as Box<dyn TopoScheduler>)
                 }
-                1 => Box::new(|| Box::new(TopoRoundRobin::every_epoch()) as Box<dyn Scheduler>),
-                _ => Box::new(|| Box::new(TopoStatic) as Box<dyn Scheduler>),
+                1 => Box::new(|| Box::new(TopoRoundRobin::every_epoch()) as Box<dyn TopoScheduler>),
+                _ => Box::new(|| Box::new(TopoStatic) as Box<dyn TopoScheduler>),
             };
-            let checkpoints =
-                soak_lockstep(sc.bench_a, sc.bench_b, sc.seed, &*make, sc.cycles, Err);
-            match checkpoints {
+            let benches = [sc.bench_a, sc.bench_b];
+            match soak_lockstep(&Topology::duo(), &benches, sc.seed, &*make, sc.cycles) {
                 Ok(n) => prop_assert!(n > 0, "soak must advance"),
                 Err(msg) => prop_assert!(false, "{}", msg),
             }
