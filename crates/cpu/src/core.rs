@@ -203,6 +203,23 @@ impl Rob {
     }
 }
 
+/// Which simulation kernel [`Core::step`] runs.
+///
+/// `Fast` is the production path: the optimized [`Core::tick`] stages plus
+/// cycle-skip-ahead over quiescent regions. `Reference` drives
+/// [`Core::reference_tick`] every single cycle — slower, but the frozen
+/// baseline the differential harness compares against. Both must produce
+/// bit-identical results; `crates/cpu/tests/differential.rs` and the
+/// system-level differential tests enforce that.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum SimPath {
+    /// Optimized stages + skip-ahead (default).
+    #[default]
+    Fast,
+    /// Frozen per-cycle reference kernel.
+    Reference,
+}
+
 /// One out-of-order core executing a [`Workload`] stream.
 pub struct Core {
     cfg: CoreConfig,
@@ -271,6 +288,14 @@ pub struct Core {
     stores_wake: Vec<u64>,
     isq_recheck: [u64; 4],
 
+    // Quiescence certificate, maintained by `step` on the fast path:
+    // cycles strictly below `quiet_until` are certified no-ops, and
+    // `idle_streak` (the last tick committed nothing) gates the scan
+    // that certifies them. A flush voids the certificate but keeps the
+    // gate. Derived state: excluded from `state_digest`.
+    quiet_until: u64,
+    idle_streak: bool,
+
     // Functional units (six arithmetic classes).
     fus: [FuPool; 6],
 
@@ -319,6 +344,8 @@ impl Core {
             loads_wake: Vec::with_capacity(cfg.lsq_loads as usize),
             stores_wake: Vec::with_capacity(cfg.lsq_stores as usize),
             isq_recheck: [NOT_READY; 4],
+            quiet_until: 0,
+            idle_streak: false,
             fus,
             pending: None,
             fetch_ready_at: 0,
@@ -389,6 +416,54 @@ impl Core {
         self.issue(now, mem);
         self.dispatch(now, workload, mem);
         committed
+    }
+
+    /// Advance the core by one cycle through the kernel `path` selects.
+    /// Returns the number of instructions committed this cycle.
+    ///
+    /// `Reference` runs [`Core::reference_tick`]. `Fast` replays a cycle
+    /// inside the certified quiescent region with [`Core::fast_forward`]
+    /// and otherwise runs [`Core::tick`]; the second commit-free tick in
+    /// a row (isolated ones are common dependency bubbles) scans for the
+    /// next event and certifies every cycle before it
+    /// ([`Core::quiet_until`]). A core must be stepped through one path
+    /// for its whole lifetime.
+    pub fn step(
+        &mut self,
+        now: u64,
+        path: SimPath,
+        workload: &mut dyn Workload,
+        mem: &mut MemSystem,
+    ) -> u32 {
+        match path {
+            SimPath::Reference => self.reference_tick(now, workload, mem),
+            SimPath::Fast if self.quiet_until > now => {
+                self.fast_forward(now, 1);
+                0
+            }
+            SimPath::Fast => {
+                let n = self.tick(now, workload, mem);
+                if n != 0 {
+                    self.idle_streak = false;
+                } else if self.idle_streak {
+                    // One scan certifies an entire stall region;
+                    // committing cycles never pay for it.
+                    self.quiet_until = self.next_event_at_or_after(now + 1);
+                } else {
+                    self.idle_streak = true;
+                }
+                n
+            }
+        }
+    }
+
+    /// End of the certified quiescent region: every cycle strictly below
+    /// it is a no-op, so a runner may jump the core from `now` to any
+    /// cycle up to it with one [`Core::fast_forward`] call. 0 until
+    /// [`Core::step`] certifies a stall region, after a flush, and always
+    /// on the reference path.
+    pub fn quiet_until(&self) -> u64 {
+        self.quiet_until
     }
 
     /// Advance the core by one cycle through the frozen *reference path*.
@@ -1420,6 +1495,7 @@ impl Core {
         self.loads_wake.clear();
         self.stores_wake.clear();
         self.isq_recheck = [NOT_READY; 4];
+        self.quiet_until = 0;
         for fu in &mut self.fus {
             fu.reset();
         }

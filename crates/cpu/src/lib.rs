@@ -24,6 +24,16 @@
 //!
 //! Every microarchitectural event is tallied in [`ActivityCounters`],
 //! which `ampsched-power` converts to energy.
+//!
+//! The core has two kernels that must stay bit-identical: the optimized
+//! [`Core::tick`] with [`Core::fast_forward`] skip-ahead, and the frozen
+//! [`Core::reference_tick`]. Runners advance a core through one API,
+//! [`Core::step`], whose [`SimPath`] argument selects the kernel. On the
+//! fast path `step` also owns the quiescence certificate: it scans for
+//! the next event once a stall region begins, replays certified cycles
+//! with `fast_forward`, and publishes the region's end as
+//! [`Core::quiet_until`] so a runner can jump many cycles at once.
+//! [`Core::flush_pipeline`] voids the certificate.
 
 pub mod activity;
 pub mod config;
@@ -32,7 +42,7 @@ pub mod fu;
 pub mod profile;
 pub mod stats;
 
-pub use crate::core::Core;
+pub use crate::core::{Core, SimPath};
 pub use activity::ActivityCounters;
 pub use config::{CoreConfig, CoreFlavor, FuSpec};
 pub use profile::{PipeSnapshot, StallCause, STALL_CAUSE_NAMES};

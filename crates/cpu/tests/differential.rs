@@ -1,12 +1,13 @@
 //! Differential cycle-exactness harness: the optimized fast path
-//! ([`Core::tick`] plus [`Core::fast_forward`] skip-ahead) must be
+//! ([`Core::tick`] plus [`Core::fast_forward`] skip-ahead, driven
+//! directly or through [`Core::step`]) must be
 //! bit-identical to the frozen reference path ([`Core::reference_tick`])
 //! — same microarchitectural state digest every cycle, same statistics,
 //! same activity counters — over property-generated random programs and
 //! over the real trace generator with fixed seeds.
 
 use ampsched_cpu::core::Core;
-use ampsched_cpu::{CoreConfig, FuSpec};
+use ampsched_cpu::{CoreConfig, FuSpec, SimPath};
 use ampsched_isa::{ArchReg, MicroOp, OpClass};
 use ampsched_mem::{MemConfig, MemSystem};
 use ampsched_trace::{suite, TraceGenerator, Workload};
@@ -110,6 +111,9 @@ struct Program {
     cycles: u64,
     flush_at: Option<u64>,
     ops: Vec<MicroOp>,
+    /// Frontend stall after the flush in the lockstep test, so a stale
+    /// quiescence certificate outliving the refetch cycle would diverge.
+    stall: u64,
 }
 
 fn gen_program(s: &mut Source) -> Program {
@@ -119,6 +123,7 @@ fn gen_program(s: &mut Source) -> Program {
         cycles: s.u64_in(200, 2000),
         flush_at: if s.bool() { Some(s.u64_in(50, 150)) } else { None },
         ops: s.vec_with(1, 64, |s| random_op(s, &mut pc)),
+        stall: s.u64_in(0, 201),
     }
 }
 
@@ -179,31 +184,49 @@ fn fast_tick_matches_reference_lockstep_on_random_programs() {
         .cases(48)
         .suite("cpu_differential")
         .run("fast_tick_lockstep", gen_program, |p| {
+            // `stepped` runs the fast path through `Core::step`, which
+            // replays certified quiescent cycles with `fast_forward`.
             let mut fast = Core::new(cfg(p.fp_core), 0);
+            let mut stepped = Core::new(cfg(p.fp_core), 0);
             let mut refc = Core::new(cfg(p.fp_core), 0);
             let mut mf = mem();
+            let mut ms = mem();
             let mut mr = mem();
             let mut wf = VecWorkload::new(p.ops.clone());
+            let mut ws = VecWorkload::new(p.ops.clone());
             let mut wr = VecWorkload::new(p.ops.clone());
             for now in 0..p.cycles {
                 if p.flush_at == Some(now) {
                     fast.flush_pipeline();
-                    fast.stall_until(now + 40);
+                    fast.stall_until(now + p.stall);
+                    stepped.flush_pipeline();
+                    prop_assert_eq!(stepped.quiet_until(), 0, "flush must void the certificate");
+                    stepped.stall_until(now + p.stall);
                     refc.flush_pipeline();
-                    refc.stall_until(now + 40);
+                    refc.stall_until(now + p.stall);
                 }
                 let cf = fast.tick(now, &mut wf, &mut mf);
+                let cs = stepped.step(now, SimPath::Fast, &mut ws, &mut ms);
                 let cr = refc.reference_tick(now, &mut wr, &mut mr);
                 prop_assert_eq!(cf, cr, "commit count diverged at cycle {}", now);
+                prop_assert_eq!(cs, cr, "stepped commit count diverged at cycle {}", now);
                 prop_assert_eq!(
                     fast.state_digest(),
                     refc.state_digest(),
                     "state diverged at cycle {}",
                     now
                 );
+                prop_assert_eq!(
+                    stepped.state_digest(),
+                    refc.state_digest(),
+                    "stepped state diverged at cycle {}",
+                    now
+                );
             }
             prop_assert_eq!(fast.stats, refc.stats);
             prop_assert_eq!(fast.activity, refc.activity);
+            prop_assert_eq!(stepped.stats, refc.stats);
+            prop_assert_eq!(stepped.activity, refc.activity);
             Ok(())
         });
 }

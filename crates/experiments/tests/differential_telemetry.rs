@@ -12,6 +12,7 @@ use ampsched_experiments::obs_summary;
 use ampsched_util::Json;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const SCALE: &[&str] = &["--quick", "--pairs", "2", "--insts", "20000", "--profile-insts", "200000"];
 
@@ -31,8 +32,15 @@ fn run_fig7(json_path: &Path, telemetry: Option<(&Path, &Path)>, extra: &[&str])
     );
 }
 
+/// A fresh directory per call: tests run concurrently and each removes
+/// its own directory, so no two calls may share one.
 fn tmp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ampsched-difftel-{}", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "ampsched-difftel-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir

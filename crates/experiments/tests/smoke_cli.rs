@@ -4,13 +4,18 @@
 
 use ampsched_util::Json;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Run `ampsched <extra args> --json <tmp> <command>` and parse the report.
+/// Every call gets its own directory: tests run concurrently, several
+/// run the same command, and each call removes its directory afterwards.
 fn run_with_json(command: &str, extra: &[&str]) -> Json {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "ampsched-smoke-{}-{}",
+        "ampsched-smoke-{}-{}-{}",
         command,
-        std::process::id()
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let json_path = dir.join("report.json");

@@ -14,25 +14,7 @@ use ampsched_trace::Workload;
 
 use crate::topo::{MulticoreSystem, Topology, TopoRunResult};
 
-/// Which simulation kernel a run uses.
-///
-/// `Fast` is the production path: the optimized [`Core::tick`] stages plus
-/// cycle-skip-ahead over quiescent regions. `Reference` drives
-/// [`Core::reference_tick`] every single cycle — slower, but the frozen
-/// baseline the differential harness compares against. Both must produce
-/// bit-identical results; `crates/cpu/tests/differential.rs` and the
-/// system-level differential tests enforce that.
-///
-/// [`Core::tick`]: ampsched_cpu::Core::tick
-/// [`Core::reference_tick`]: ampsched_cpu::Core::reference_tick
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SimPath {
-    /// Optimized stages + skip-ahead (default).
-    #[default]
-    Fast,
-    /// Frozen per-cycle reference kernel.
-    Reference,
-}
+pub use ampsched_cpu::SimPath;
 
 /// System-level parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]

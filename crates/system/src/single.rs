@@ -1,8 +1,8 @@
 //! Single-thread, single-core runs with interval sampling — the substrate
 //! for Figure 1 and the offline profiling of Sections V and VI-A.
 
-use crate::duo::SimPath;
-use ampsched_cpu::{Core, CoreConfig};
+use crate::topo::PipeSampler;
+use ampsched_cpu::{Core, CoreConfig, SimPath};
 use ampsched_isa::MixCounts;
 use ampsched_mem::{MemConfig, MemSystem};
 use ampsched_metrics::ThreadMetrics;
@@ -64,6 +64,14 @@ pub struct SingleRunResult {
 }
 
 /// Runs one workload alone on one core type.
+///
+/// The runner keeps its own interval loop instead of delegating to a
+/// 1×1 [`MulticoreSystem`](crate::MulticoreSystem): its samples carry
+/// *raw* per-interval joules straight from each energy settlement, and
+/// reconstructing them from cumulative totals would change the last bits
+/// of each sample ((a+j)−a ≠ j in f64). The counter namespace
+/// (`sim.skip.single`) and the `system.run_single` span are likewise part
+/// of the frozen telemetry surface.
 pub struct SingleCoreRunner {
     core: Core,
     mem: MemSystem,
@@ -86,22 +94,6 @@ impl SingleCoreRunner {
             frequency_hz,
             sim_path: SimPath::Fast,
         }
-    }
-
-    /// Build a runner from a single-core [`Topology`](crate::Topology)
-    /// (the 1×1 shape; panics otherwise).
-    ///
-    /// The runner deliberately keeps its own interval loop instead of
-    /// delegating to [`MulticoreSystem`](crate::MulticoreSystem): its
-    /// samples carry *raw* per-interval joules straight from each energy
-    /// settlement, and reconstructing them from cumulative totals would
-    /// change the last bits of each sample ((a+j)−a ≠ j in f64). The
-    /// counter namespace (`sim.skip.single`) and the `system.run_single`
-    /// span are likewise part of the frozen telemetry surface.
-    pub fn from_topology(topo: &crate::Topology, mem_cfg: MemConfig) -> Self {
-        assert_eq!(topo.cores.len(), 1, "single-core runner needs a 1-core topology");
-        assert_eq!(topo.threads, 1, "single-core runner needs a 1-thread topology");
-        SingleCoreRunner::new(topo.cores[0].clone(), mem_cfg)
     }
 
     /// Select the simulation kernel (fast path vs frozen reference).
@@ -128,44 +120,40 @@ impl SingleCoreRunner {
         let mut iv_start_insts = 0u64;
         let mut iv_start_mix = MixCounts::new();
         let mut total_joules = 0.0;
-        // Sampled pipeline profiler: same deterministic cadence as the
-        // duo loop — a sample at cycle X is the state after tick(X-1),
-        // re-emitted across quiescent skips (state is frozen there).
-        let prof_interval = ampsched_obs::profiler::interval();
-        let mut next_sample = match prof_interval {
-            0 => u64::MAX,
-            n => n,
-        };
-        let record_sample = |core: &Core, at: u64| {
-            let s = core.pipe_snapshot(at);
-            ampsched_obs::profiler::record(ampsched_obs::profiler::PipeSample {
-                cycle: at,
-                core: 0,
-                stall: s.stall.code(),
-                rob: s.rob,
-                isq_int: s.isq_int,
-                isq_fp: s.isq_fp,
-                lq: s.lq,
-                sq: s.sq,
-                committed: s.committed,
-                issue_slots: s.issue_slots,
-            });
-        };
-
-        // Quiescence bound: ticks at cycles strictly below `quiet_until`
-        // are provably the no-op pattern [`Core::fast_forward`]
-        // replicates, certified by one event scan after an idle tick.
-        let mut quiet_until = 0u64;
-        // Scan gate: isolated commit-free cycles are common dependency
-        // bubbles; two in a row signal a real stall region worth a scan.
-        let mut idle_streak = false;
-        while committed < target_insts && cycle < max_cycles {
-            if self.sim_path == SimPath::Fast && quiet_until > cycle {
+        let mut sampler = PipeSampler::new(0);
+        loop {
+            // Close the interval at its boundary or at the end of the run.
+            let done = committed >= target_insts || cycle >= max_cycles;
+            if done || cycle - iv_start_cycle >= interval_cycles {
+                let j = self.energy.account(&self.core.activity.take());
+                total_joules += j;
+                if cycle > iv_start_cycle {
+                    let mix = self.core.stats.committed.since(&iv_start_mix);
+                    samples.push(IntervalSample {
+                        int_pct: mix.int_pct(),
+                        fp_pct: mix.fp_pct(),
+                        mem_pct: mix.mem_pct(),
+                        branch_pct: mix.branch_pct(),
+                        instructions: committed - iv_start_insts,
+                        cycles: cycle - iv_start_cycle,
+                        joules: j,
+                        frequency_hz: self.frequency_hz,
+                    });
+                    iv_start_cycle = cycle;
+                    iv_start_insts = committed;
+                    iv_start_mix = self.core.stats.committed;
+                }
+                if done {
+                    break;
+                }
+            }
+            let quiet_until = self.core.quiet_until();
+            if quiet_until > cycle {
                 // Skip the certified quiescent stretch in O(1). Nothing
                 // commits in a skipped cycle, so the instruction target
                 // cannot be crossed inside the region; interval sampling
                 // and the cycle cap are time-based, so clamp the jump to
-                // land the normal tick on the last cycle before either
+                // land the next step on the last cycle before either
                 // fires.
                 let target = quiet_until
                     .min(iv_start_cycle + interval_cycles - 1)
@@ -175,70 +163,13 @@ impl SingleCoreRunner {
                     ampsched_obs::counter!("sim.skip.single");
                     ampsched_obs::hist!("sim.skip.single_cycles", target - cycle);
                     cycle = target;
-                    while next_sample <= cycle {
-                        record_sample(&self.core, next_sample);
-                        next_sample += prof_interval;
-                    }
+                    sampler.catch_up(cycle, std::slice::from_ref(&self.core));
                 }
             }
-            let n = match self.sim_path {
-                SimPath::Fast => {
-                    let n = self.core.tick(cycle, workload, &mut self.mem);
-                    if n == 0 {
-                        if idle_streak {
-                            // One scan certifies an entire stall region;
-                            // committing cycles never pay for it.
-                            quiet_until = self.core.next_event_at_or_after(cycle + 1);
-                        } else {
-                            idle_streak = true;
-                        }
-                    } else {
-                        idle_streak = false;
-                    }
-                    n
-                }
-                SimPath::Reference => self.core.reference_tick(cycle, workload, &mut self.mem),
-            } as u64;
-            committed += n;
+            let n = self.core.step(cycle, self.sim_path, workload, &mut self.mem);
+            committed += n as u64;
             cycle += 1;
-            if cycle == next_sample {
-                record_sample(&self.core, next_sample);
-                next_sample += prof_interval;
-            }
-            if cycle - iv_start_cycle >= interval_cycles {
-                let j = self.energy.account(&self.core.activity.take());
-                total_joules += j;
-                let mix = self.core.stats.committed.since(&iv_start_mix);
-                samples.push(IntervalSample {
-                    int_pct: mix.int_pct(),
-                    fp_pct: mix.fp_pct(),
-                    mem_pct: mix.mem_pct(),
-                    branch_pct: mix.branch_pct(),
-                    instructions: committed - iv_start_insts,
-                    cycles: cycle - iv_start_cycle,
-                    joules: j,
-                    frequency_hz: self.frequency_hz,
-                });
-                iv_start_cycle = cycle;
-                iv_start_insts = committed;
-                iv_start_mix = self.core.stats.committed;
-            }
-        }
-        // Settle the tail.
-        let j = self.energy.account(&self.core.activity.take());
-        total_joules += j;
-        if cycle > iv_start_cycle {
-            let mix = self.core.stats.committed.since(&iv_start_mix);
-            samples.push(IntervalSample {
-                int_pct: mix.int_pct(),
-                fp_pct: mix.fp_pct(),
-                mem_pct: mix.mem_pct(),
-                branch_pct: mix.branch_pct(),
-                instructions: committed - iv_start_insts,
-                cycles: cycle - iv_start_cycle,
-                joules: j,
-                frequency_hz: self.frequency_hz,
-            });
+            sampler.catch_up(cycle, std::slice::from_ref(&self.core));
         }
 
         SingleRunResult {

@@ -2,18 +2,18 @@
 //!
 //! [`Topology`] describes an arbitrary machine shape — any mix of
 //! [`CoreConfig`]s sharing one L2, co-running any number of threads —
-//! and [`MulticoreSystem`] is the scheduling loop over it: per-core
-//! quiescence skip-ahead, committed-instruction monitoring windows, OS
+//! and [`MulticoreSystem`] is the scheduling loop over it: a joint
+//! skip over the cycles every occupied core has certified quiescent
+//! ([`Core::quiet_until`]), committed-instruction monitoring windows, OS
 //! epochs, and per-assignment migration costs (each reassignment
 //! flushes + stalls exactly the cores whose occupant changed).
 //!
 //! The paper's fixed shapes are thin constructors over this machine:
 //! [`DualCoreSystem`](crate::DualCoreSystem) is `Topology::duo()` driven
 //! by the same schedulers, and its byte-for-byte behavior is locked
-//! by the compatibility and differential suites. The loop below is a
-//! line-by-line generalization of the frozen duo loop — arithmetic
-//! order, counter cadence, and profiler cadence are deliberately
-//! identical so the N=2 specialization stays bit-exact.
+//! by the compatibility and differential suites: arithmetic order,
+//! counter cadence, and profiler cadence of the loop below are pinned
+//! by the golden reports and telemetry streams.
 
 use ampsched_core::{
     AssignmentMap, CoreTraits, DecisionExplain, TopoDecision, TopoScheduler, TopoSnapshot,
@@ -26,7 +26,7 @@ use ampsched_metrics::ThreadMetrics;
 use ampsched_power::{EnergyAccount, EnergyModel};
 use ampsched_trace::Workload;
 
-use crate::duo::{SimPath, SystemConfig};
+use crate::duo::SystemConfig;
 
 /// An arbitrary machine shape: heterogeneous cores over a shared L2,
 /// co-running `threads` software threads.
@@ -357,7 +357,7 @@ impl MulticoreSystem {
     }
 
     /// Per-core microarchitectural state digests (differential-testing
-    /// hook, as on the dual-core system).
+    /// hook).
     pub fn core_digests(&self) -> Vec<u64> {
         self.cores.iter().map(|c| c.state_digest()).collect()
     }
@@ -492,31 +492,11 @@ impl MulticoreSystem {
         }
     }
 
-    /// Record one profiler sample per core at `cycle` (sampling on).
-    fn record_pipe_samples(&self, cycle: u64) {
-        for (c, core) in self.cores.iter().enumerate() {
-            let s = core.pipe_snapshot(cycle);
-            ampsched_obs::profiler::record(ampsched_obs::profiler::PipeSample {
-                cycle,
-                core: c as u8,
-                stall: s.stall.code(),
-                rob: s.rob,
-                isq_int: s.isq_int,
-                isq_fp: s.isq_fp,
-                lq: s.lq,
-                sq: s.sq,
-                committed: s.committed,
-                issue_slots: s.issue_slots,
-            });
-        }
-    }
-
     /// Adopt `next`, charging the per-assignment migration cost: every
     /// core whose occupant changed is flushed and stalled for the swap
     /// overhead (and optionally loses its L1). Cores untouched by the
-    /// reassignment keep running undisturbed. Returns the affected core
-    /// set (ascending).
-    fn apply_assignment(&mut self, next: AssignmentMap, kind: DecisionKind) -> Vec<usize> {
+    /// reassignment keep running undisturbed.
+    fn apply_assignment(&mut self, next: AssignmentMap, kind: DecisionKind) {
         assert_eq!(next.cores(), self.cores.len(), "reassignment changes the core count");
         assert_eq!(next.threads(), self.workloads.len(), "reassignment changes the thread count");
         next.validate().expect("scheduler produced an invalid assignment");
@@ -549,7 +529,42 @@ impl MulticoreSystem {
         self.swaps += 1;
         self.migrations += moved.len() as u64;
         ampsched_obs::counter!("sim.swap");
-        affected
+    }
+
+    /// One decision point of `kind`: settle energy, snapshot the period
+    /// since `base`, ask the scheduler, adopt a changed assignment (which
+    /// re-bases the `other` period), and re-base `base`.
+    fn decision_point(
+        &mut self,
+        kind: DecisionKind,
+        scheduler: &mut dyn TopoScheduler,
+        base: &mut PeriodBase,
+        other: &mut PeriodBase,
+    ) -> TopoDecisionRecord {
+        self.settle_energy();
+        let snap = self.snapshot(base);
+        let decision = match kind {
+            DecisionKind::Window => {
+                ampsched_obs::counter!("sim.decision.window");
+                scheduler.on_window(&snap)
+            }
+            DecisionKind::Epoch => {
+                ampsched_obs::counter!("sim.decision.epoch");
+                scheduler.on_epoch(&snap)
+            }
+        };
+        let (changed, migrated) = match decision {
+            TopoDecision::Reassign(next) if next != self.assignment => {
+                let migrated = next.moved_threads(&self.assignment);
+                self.apply_assignment(next, kind);
+                *other = self.period_base();
+                (true, migrated)
+            }
+            _ => (false, Vec::new()),
+        };
+        let record = self.decision_record(kind, changed, migrated, &snap, scheduler.explain_last());
+        *base = self.period_base();
+        record
     }
 
     /// Run under `scheduler` until one thread commits `target_insts`
@@ -563,13 +578,10 @@ impl MulticoreSystem {
         max_cycles: u64,
     ) -> TopoRunResult {
         let _span = ampsched_obs::span!("system.run");
-        let n_cores = self.cores.len();
         let window = scheduler.window_insts();
         let mut window_base = self.period_base();
         let mut epoch_base = self.period_base();
         let mut next_epoch = self.cycle + self.cfg.epoch_cycles;
-        let mut window_decisions = 0u64;
-        let mut epoch_decisions = 0u64;
         let mut decisions = Vec::new();
         let start_cycle = self.cycle;
         let (start_swaps, start_migrations) = (self.swaps, self.migrations);
@@ -578,21 +590,8 @@ impl MulticoreSystem {
             self.settle_energy();
             self.thread_joules.clone()
         };
-        // Sampled pipeline profiler cadence: identical to the duo loop —
-        // a sample at cycle X reflects the state at the *start* of X,
-        // re-emitted at each boundary a quiescent skip crosses.
-        let prof_interval = ampsched_obs::profiler::interval();
-        let mut next_sample = match prof_interval {
-            0 => u64::MAX,
-            n => (self.cycle / n + 1) * n,
-        };
+        let mut sampler = PipeSampler::new(self.cycle);
 
-        // Per-core quiescence bounds and scan gates, exactly as on the
-        // dual-core system. A core with no occupant is never ticked (its
-        // pipeline is empty after the migration flush), so it reports an
-        // unbounded quiescence certificate.
-        let mut quiet_until = vec![0u64; n_cores];
-        let mut idle_streak = vec![false; n_cores];
         while self
             .thread_insts
             .iter()
@@ -600,76 +599,45 @@ impl MulticoreSystem {
             .all(|(now, start)| now - start < target_insts)
             && self.cycle - start_cycle < max_cycles
         {
-            if self.cfg.sim_path == SimPath::Fast {
-                // Joint skip: every occupied core certified quiescent.
-                let q = (0..n_cores)
-                    .map(|c| if self.assignment.thread_on(c).is_some() { quiet_until[c] } else { u64::MAX })
-                    .min()
-                    .expect("at least one core");
-                if q > self.cycle {
-                    let target = q
-                        .min(next_epoch - 1)
-                        .min(start_cycle + max_cycles - 1);
-                    if target > self.cycle {
-                        let n = target - self.cycle;
-                        for c in 0..n_cores {
-                            if self.assignment.thread_on(c).is_some() {
-                                self.cores[c].fast_forward(self.cycle, n);
-                            }
-                        }
-                        self.cycle = target;
-                        ampsched_obs::counter!("sim.skip.joint");
-                        ampsched_obs::hist!("sim.skip.joint_cycles", n);
-                        while next_sample <= self.cycle {
-                            self.record_pipe_samples(next_sample);
-                            next_sample += prof_interval;
+            // Joint skip: every occupied core certified quiescent. A core
+            // with no occupant is never stepped (its pipeline is empty
+            // after the migration flush), so it never bounds the jump.
+            let q = (0..self.cores.len())
+                .filter(|&c| self.assignment.thread_on(c).is_some())
+                .map(|c| self.cores[c].quiet_until())
+                .min()
+                .unwrap_or(u64::MAX);
+            if q > self.cycle {
+                let target = q.min(next_epoch - 1).min(start_cycle + max_cycles - 1);
+                if target > self.cycle {
+                    let n = target - self.cycle;
+                    for (c, core) in self.cores.iter_mut().enumerate() {
+                        if self.assignment.thread_on(c).is_some() {
+                            core.fast_forward(self.cycle, n);
                         }
                     }
+                    self.cycle = target;
+                    ampsched_obs::counter!("sim.skip.joint");
+                    ampsched_obs::hist!("sim.skip.joint_cycles", n);
+                    sampler.catch_up(self.cycle, &self.cores);
                 }
             }
 
             // One cycle on every occupied core.
-            for c in 0..n_cores {
+            for c in 0..self.cores.len() {
                 let Some(t) = self.assignment.thread_on(c) else {
                     continue;
                 };
-                let n = match self.cfg.sim_path {
-                    SimPath::Fast => {
-                        if quiet_until[c] > self.cycle {
-                            self.cores[c].fast_forward(self.cycle, 1);
-                            0
-                        } else {
-                            let n = self.cores[c].tick(
-                                self.cycle,
-                                &mut *self.workloads[t],
-                                &mut self.mem,
-                            );
-                            if n == 0 {
-                                if idle_streak[c] {
-                                    quiet_until[c] =
-                                        self.cores[c].next_event_at_or_after(self.cycle + 1);
-                                } else {
-                                    idle_streak[c] = true;
-                                }
-                            } else {
-                                idle_streak[c] = false;
-                            }
-                            n
-                        }
-                    }
-                    SimPath::Reference => self.cores[c].reference_tick(
-                        self.cycle,
-                        &mut *self.workloads[t],
-                        &mut self.mem,
-                    ),
-                };
+                let n = self.cores[c].step(
+                    self.cycle,
+                    self.cfg.sim_path,
+                    &mut *self.workloads[t],
+                    &mut self.mem,
+                );
                 self.thread_insts[t] += n as u64;
             }
             self.cycle += 1;
-            if self.cycle == next_sample {
-                self.record_pipe_samples(next_sample);
-                next_sample += prof_interval;
-            }
+            sampler.catch_up(self.cycle, &self.cores);
 
             // Fine-grained window boundary (committed instructions summed
             // over all threads).
@@ -681,61 +649,23 @@ impl MulticoreSystem {
                     .map(|(now, base)| now - base)
                     .sum();
                 if committed_since >= w {
-                    self.settle_energy();
-                    let snap = self.snapshot(&window_base);
-                    window_decisions += 1;
-                    ampsched_obs::counter!("sim.decision.window");
-                    let decision = scheduler.on_window(&snap);
-                    let (changed, migrated) = match decision {
-                        TopoDecision::Reassign(next) if next != self.assignment => {
-                            let migrated = next.moved_threads(&self.assignment);
-                            let affected = self.apply_assignment(next, DecisionKind::Window);
-                            for c in affected {
-                                quiet_until[c] = 0;
-                            }
-                            epoch_base = self.period_base();
-                            (true, migrated)
-                        }
-                        _ => (false, Vec::new()),
-                    };
-                    decisions.push(self.decision_record(
+                    decisions.push(self.decision_point(
                         DecisionKind::Window,
-                        changed,
-                        migrated,
-                        &snap,
-                        scheduler.explain_last(),
+                        scheduler,
+                        &mut window_base,
+                        &mut epoch_base,
                     ));
-                    window_base = self.period_base();
                 }
             }
 
             // OS epoch boundary.
             if self.cycle >= next_epoch {
-                self.settle_energy();
-                let snap = self.snapshot(&epoch_base);
-                epoch_decisions += 1;
-                ampsched_obs::counter!("sim.decision.epoch");
-                let decision = scheduler.on_epoch(&snap);
-                let (changed, migrated) = match decision {
-                    TopoDecision::Reassign(next) if next != self.assignment => {
-                        let migrated = next.moved_threads(&self.assignment);
-                        let affected = self.apply_assignment(next, DecisionKind::Epoch);
-                        for c in affected {
-                            quiet_until[c] = 0;
-                        }
-                        window_base = self.period_base();
-                        (true, migrated)
-                    }
-                    _ => (false, Vec::new()),
-                };
-                decisions.push(self.decision_record(
+                decisions.push(self.decision_point(
                     DecisionKind::Epoch,
-                    changed,
-                    migrated,
-                    &snap,
-                    scheduler.explain_last(),
+                    scheduler,
+                    &mut epoch_base,
+                    &mut window_base,
                 ));
-                epoch_base = self.period_base();
                 next_epoch += self.cfg.epoch_cycles;
             }
         }
@@ -745,6 +675,7 @@ impl MulticoreSystem {
         ampsched_obs::counter!("sim.run");
         ampsched_obs::hist!("sim.run.cycles", self.cycle - start_cycle);
         let cycles = self.cycle - start_cycle;
+        let count = |kind| decisions.iter().filter(|d| d.kind == kind).count() as u64;
         let threads = (0..self.workloads.len())
             .map(|t| ThreadMetrics {
                 instructions: self.thread_insts[t] - start_insts[t],
@@ -759,9 +690,53 @@ impl MulticoreSystem {
             threads,
             swaps: self.swaps - start_swaps,
             migrations: self.migrations - start_migrations,
-            window_decisions,
-            epoch_decisions,
+            window_decisions: count(DecisionKind::Window),
+            epoch_decisions: count(DecisionKind::Epoch),
             decisions,
+        }
+    }
+}
+
+/// The sampled pipeline profiler's cadence, shared by both run loops: a
+/// sample at cycle X is every core's state at the *start* of X (after
+/// step X−1), re-emitted at each boundary a quiescent skip crosses
+/// (state is frozen there).
+pub(crate) struct PipeSampler {
+    interval: u64,
+    next: u64,
+}
+
+impl PipeSampler {
+    /// Cadence for a run starting at cycle `start` (first sample at the
+    /// next multiple of the profiler interval; never when sampling is off).
+    pub(crate) fn new(start: u64) -> Self {
+        let interval = ampsched_obs::profiler::interval();
+        let next = match interval {
+            0 => u64::MAX,
+            n => (start / n + 1) * n,
+        };
+        PipeSampler { interval, next }
+    }
+
+    /// Record one sample per core for every boundary at or before `cycle`.
+    pub(crate) fn catch_up(&mut self, cycle: u64, cores: &[Core]) {
+        while self.next <= cycle {
+            for (c, core) in cores.iter().enumerate() {
+                let s = core.pipe_snapshot(self.next);
+                ampsched_obs::profiler::record(ampsched_obs::profiler::PipeSample {
+                    cycle: self.next,
+                    core: c as u8,
+                    stall: s.stall.code(),
+                    rob: s.rob,
+                    isq_int: s.isq_int,
+                    isq_fp: s.isq_fp,
+                    lq: s.lq,
+                    sq: s.sq,
+                    committed: s.committed,
+                    issue_slots: s.issue_slots,
+                });
+            }
+            self.next += self.interval;
         }
     }
 }
