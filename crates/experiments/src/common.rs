@@ -63,8 +63,8 @@ impl Default for Params {
 }
 
 impl Params {
-    /// Reduced-scale parameters for tests and Criterion benches on a
-    /// single-CPU host: ~10× shorter runs, 8 pairs, finer profiling
+    /// Reduced-scale parameters (`--quick`) for tests and benchmarks on
+    /// a single-CPU host: ~10× shorter runs, 8 pairs, finer profiling
     /// intervals so the profile still collects multiple samples.
     pub fn quick() -> Self {
         Params {

@@ -8,13 +8,11 @@
 //!
 //! Each `figN` module exposes a `run(&Params) -> ...Result` function that
 //! returns structured data and a `render` path producing the ASCII table /
-//! series the paper reports. Three front ends drive the same entry
-//! points: the `ampsched` CLI binary, the hermetic bench targets in
-//! `ampsched-bench` (in-tree `ampsched_util::timer` harness, no
-//! Criterion) at reduced scale, and the [`serve`] daemon, which answers
-//! experiment requests over HTTP from a content-addressed result cache
-//! with byte-identical output ([`report`] is the shared assembly path
-//! that makes that identity hold).
+//! series the paper reports. Two front ends drive the same entry
+//! points: the `ampsched` CLI binary and the [`serve`] daemon, which
+//! answers experiment requests over HTTP from a content-addressed result
+//! cache with byte-identical output ([`report`] is the shared assembly
+//! path that makes that identity hold).
 
 #![warn(missing_docs)]
 

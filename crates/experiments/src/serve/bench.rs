@@ -12,15 +12,14 @@
 //! standard bench schema (`results/bench/README.md`) — `target`,
 //! `benchmarks[].{name, samples, mean_ns}` — plus a `source` field
 //! (`"serve-bench"`) so `bench_diff` and the registry can tell service
-//! measurements from criterion-style microbenches. Warm entries also
-//! carry `p50_ns`/`p95_ns`/`p99_ns` estimated through the obs
-//! power-of-two-bucket quantile helper (`bench_diff` reads only the
-//! fields it knows, so the extra keys are compatible by construction),
+//! measurements from `--profile` phase timings. Warm entries also carry
+//! exact nearest-rank `p50_ns`/`p95_ns`/`p99_ns` over the raw samples
+//! (`bench_diff` reads only the fields it knows, so the extra keys are
+//! compatible by construction),
 //! and every successful bench refreshes the `BENCH_serve.json` perf
 //! snapshot in the working directory — the repo-root trajectory file.
 
 use super::http;
-use ampsched_obs::metrics::{bucket_bounds, bucket_index, quantile};
 use ampsched_util::Json;
 use std::time::Instant;
 
@@ -96,27 +95,17 @@ fn lane_name(body: &str, index: usize) -> String {
         .unwrap_or_else(|| format!("req{index}"))
 }
 
-/// Estimate (p50, p95, p99) of `samples` the same way `/metrics` does:
-/// through the obs 65-bucket power-of-two histogram layout and its
-/// quantile helper, so bench numbers and daemon numbers share one
-/// estimator (and its documented ~2× worst-case bucket error).
+/// Exact nearest-rank (p50, p95, p99) of `samples`: the `q`-quantile
+/// is `sorted[ceil(q·n) − 1]`, always one of the measured values.
+/// `(0, 0, 0)` when there are no samples.
 fn sample_quantiles(samples: &[u64]) -> (u64, u64, u64) {
-    let mut counts = std::collections::BTreeMap::new();
-    for &s in samples {
-        *counts.entry(bucket_index(s)).or_insert(0u64) += 1;
-    }
-    let buckets: Vec<(u64, u64, u64)> = counts
-        .into_iter()
-        .map(|(i, c)| {
-            let (lo, hi) = bucket_bounds(i);
-            (lo, hi, c)
-        })
-        .collect();
-    (
-        quantile(&buckets, 0.50).unwrap_or(0),
-        quantile(&buckets, 0.95).unwrap_or(0),
-        quantile(&buckets, 0.99).unwrap_or(0),
-    )
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    let rank = |q: f64| {
+        let i = (q * sorted.len() as f64).ceil() as usize;
+        sorted.get(i.max(1) - 1).copied().unwrap_or(0)
+    };
+    (rank(0.50), rank(0.95), rank(0.99))
 }
 
 /// Send one `/run` and return its latency, insisting on a 200.
@@ -266,16 +255,21 @@ mod tests {
     }
 
     #[test]
-    fn sample_quantiles_match_bucket_bounds() {
-        // All samples in one bucket: every quantile stays inside it.
-        let (p50, p95, p99) = sample_quantiles(&[1000, 1100, 1500, 2000]);
-        for (q, v) in [("p50", p50), ("p95", p95), ("p99", p99)] {
-            assert!((1024..=2047).contains(&v), "{q} {v} outside bucket");
-        }
-        // Bimodal: p50 in the low bucket, p99 in the high one.
-        let (p50, _, p99) = sample_quantiles(&[100, 100, 100, 100_000]);
-        assert!((64..=127).contains(&p50), "p50 {p50}");
-        assert!((65_536..=131_071).contains(&p99), "p99 {p99}");
+    fn sample_quantiles_are_exact_nearest_rank() {
+        assert_eq!(
+            sample_quantiles(&[10_000, 12_000, 15_000]),
+            (12_000, 15_000, 15_000)
+        );
+        // Bimodal samples keep both modes exact, in any input order.
+        assert_eq!(
+            sample_quantiles(&[100, 100, 100, 100_000]),
+            (100, 100_000, 100_000)
+        );
+        assert_eq!(
+            sample_quantiles(&[100_000, 100, 100, 100]),
+            (100, 100_000, 100_000)
+        );
+        assert_eq!(sample_quantiles(&[7]), (7, 7, 7));
         assert_eq!(sample_quantiles(&[]), (0, 0, 0));
     }
 
@@ -299,9 +293,11 @@ mod tests {
         assert!(cold.get("p50_ns").is_none(), "cold is a single sample");
         let warm = &benches[1];
         assert_eq!(warm.get("samples").and_then(Json::as_u64), Some(3));
-        for key in ["mean_ns", "p50_ns", "p95_ns", "p99_ns"] {
-            assert!(warm.get(key).and_then(Json::as_u64).is_some(), "{key}");
-        }
+        let field = |key: &str| warm.get(key).and_then(Json::as_u64);
+        assert_eq!(field("mean_ns"), Some(12_333));
+        assert_eq!(field("p50_ns"), Some(12_000));
+        assert_eq!(field("p95_ns"), Some(15_000));
+        assert_eq!(field("p99_ns"), Some(15_000));
     }
 
     #[test]

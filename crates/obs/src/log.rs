@@ -175,6 +175,7 @@ mod tests {
 
     #[test]
     fn filter_and_capture() {
+        let _ring = crate::ring::test_lock();
         set_max_level(Some(Level::Info));
         capture_start();
         crate::info!("test.log", "visible {}", 1; k = 7);

@@ -97,8 +97,10 @@ pub fn bucket_index(v: u64) -> usize {
 /// — for the power-of-two buckets used here that is a worst-case
 /// relative error of 2× (`hi < 2·lo`), and *exact* for buckets 0 and 1
 /// (values `0` and `1`). Good enough to tell a 100 µs p99 from a 10 ms
-/// one, which is what `/metrics` and `serve-bench` use it for; it is not
-/// a substitute for raw samples when single-percent precision matters.
+/// one, which is what the daemon's `/metrics` uses it for; it is not a
+/// substitute for raw samples when single-percent precision matters
+/// (`serve-bench`, which keeps its samples, reports exact nearest-rank
+/// percentiles instead).
 pub fn quantile(buckets: &[(u64, u64, u64)], q: f64) -> Option<u64> {
     let total: u64 = buckets.iter().map(|&(_, _, c)| c).sum();
     if total == 0 {

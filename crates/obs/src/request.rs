@@ -219,6 +219,7 @@ mod tests {
     // parallel test functions would interleave.
     #[test]
     fn request_lifecycle_ids_phases_history() {
+        let _ring = crate::ring::test_lock();
         set_enabled(false);
         reset();
         assert_eq!(begin("POST /run"), None, "disabled: no record opened");

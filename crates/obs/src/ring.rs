@@ -179,14 +179,26 @@ pub fn reset() {
     r.next_seq = 0;
 }
 
+/// Serializes the unit tests that share the process-global ring: the
+/// ring test itself and every test whose code path calls [`event`]
+/// (log lines, span closes, request begin/finish). Hold the guard for
+/// the whole test.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     // One test: the ring is process-global, so parallel test functions
-    // would interleave events.
+    // would interleave events. `test_lock` keeps the other modules'
+    // event-emitting tests out while it runs.
     #[test]
     fn ring_lifecycle_wrap_and_dump() {
+        let _ring = test_lock();
         set_enabled(false);
         reset();
         event("test", "ignored while disabled".to_string());

@@ -257,6 +257,7 @@ mod tests {
     // process-global, so parallel test functions would race.
     #[test]
     fn span_recording_lifecycle() {
+        let _ring = crate::ring::test_lock();
         set_enabled(false);
         {
             let _s = span("test.span.off");

@@ -2,7 +2,7 @@
 //!
 //! Zero-dependency, in-tree replacements for the external crates the
 //! workspace used to pull from crates.io. The build environment is
-//! offline; everything the simulator, its tests, and its benches need
+//! offline; everything the simulator, its tests, and its tools need
 //! must live in the tree and be byte-for-byte reproducible.
 //!
 //! | module | replaces | contents |
@@ -10,7 +10,7 @@
 //! | [`rng`] | `rand` | SplitMix64-seeded xoshiro256++ with the `StdRng`-shaped API |
 //! | [`check`] | `proptest` | property-testing harness: composable generators, fixed seeds, choice-stream shrinking |
 //! | [`json`] | `serde`/`serde_json` | a small JSON value type, serializer, and parser |
-//! | [`timer`] | `criterion` | warmup + timed-iteration micro-bench harness with JSON output |
+//! | [`timer`] | — | the `--profile` phase profiler and the bench-result differ behind `bench_diff` |
 //! | [`hash`] | `crc32fast` | compile-time-tabled CRC-32 for on-disk integrity checks |
 //!
 //! Every generator and harness in this crate is deterministic: the same

@@ -1,349 +1,25 @@
-//! A micro-benchmark harness with a Criterion-shaped surface: warmup,
-//! timed iteration samples, a plain-text summary, and a JSON results
-//! file under `results/`.
+//! Wall-clock phase profiling and bench-result diffing.
 //!
-//! Bench targets keep the structure they had under Criterion:
-//!
-//! ```no_run
-//! use ampsched_util::timer::{black_box, Criterion};
-//!
-//! fn bench(c: &mut Criterion) {
-//!     c.bench_function("hot_loop", |b| {
-//!         b.iter(|| black_box((0..1000u64).sum::<u64>()))
-//!     });
-//! }
-//!
-//! fn main() {
-//!     let mut c = Criterion::default().sample_size(10).configure_from_args();
-//!     bench(&mut c);
-//!     c.final_summary();
-//! }
-//! ```
-//!
-//! Each `bench_function` warms the routine up for `warm_up_time`,
-//! derives an iteration count that fits `measurement_time` across
-//! `sample_size` samples, times each sample, and reports min / mean /
-//! max ns-per-iteration. `final_summary` prints an aligned table and
-//! writes `results/bench/<target>.json`.
+//! [`Profiler`] accumulates per-phase elapsed time for `ampsched
+//! --profile` and renders it as a table or as a `{"benchmarks": [...]}`
+//! JSON document under `results/bench/`. [`diff_benchmarks`] pairs two
+//! such documents by name — profiler runs, `serve-bench` artifacts, or
+//! any file with the same `name`/`mean_ns` entries — and
+//! [`render_diff_labeled`] prints the comparison `scripts/bench_diff`
+//! gates on.
 
 use crate::json::Json;
 use std::time::{Duration, Instant};
 
-/// An opaque identity function preventing the optimizer from deleting a
-/// benchmarked computation.
-#[inline]
-pub fn black_box<T>(x: T) -> T {
-    std::hint::black_box(x)
-}
-
-/// Timing results of one benchmark.
-#[derive(Debug, Clone)]
-pub struct BenchRecord {
-    /// Benchmark name (group-prefixed when inside a group).
-    pub name: String,
-    /// Routine invocations per timed sample.
-    pub iters_per_sample: u64,
-    /// Nanoseconds per iteration, one entry per sample.
-    pub samples_ns: Vec<f64>,
-}
-
-impl BenchRecord {
-    /// Fastest sample, ns/iter.
-    pub fn min_ns(&self) -> f64 {
-        self.samples_ns.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Slowest sample, ns/iter.
-    pub fn max_ns(&self) -> f64 {
-        self.samples_ns.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Mean over samples, ns/iter.
-    pub fn mean_ns(&self) -> f64 {
-        self.samples_ns.iter().sum::<f64>() / self.samples_ns.len().max(1) as f64
-    }
-
-    /// Sample standard deviation, ns/iter.
-    pub fn stddev_ns(&self) -> f64 {
-        let n = self.samples_ns.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mean = self.mean_ns();
-        let var = self
-            .samples_ns
-            .iter()
-            .map(|s| (s - mean) * (s - mean))
-            .sum::<f64>()
-            / (n - 1) as f64;
-        var.sqrt()
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", Json::from(self.name.as_str())),
-            ("iters_per_sample", Json::from(self.iters_per_sample)),
-            ("samples", Json::from(self.samples_ns.len())),
-            ("min_ns", Json::from(self.min_ns())),
-            ("mean_ns", Json::from(self.mean_ns())),
-            ("max_ns", Json::from(self.max_ns())),
-            ("stddev_ns", Json::from(self.stddev_ns())),
-            (
-                "samples_ns",
-                Json::arr(self.samples_ns.iter().map(|&s| Json::from(s))),
-            ),
-        ])
-    }
-}
-
-/// The bench driver. Collects [`BenchRecord`]s and emits the summary.
-pub struct Criterion {
-    sample_size: usize,
-    measurement_time: Duration,
-    warm_up_time: Duration,
-    filter: Option<String>,
-    list_only: bool,
-    out_dir: std::path::PathBuf,
-    results: Vec<BenchRecord>,
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        Criterion {
-            sample_size: 20,
-            measurement_time: Duration::from_secs(5),
-            warm_up_time: Duration::from_secs(1),
-            filter: None,
-            list_only: false,
-            out_dir: std::path::PathBuf::from("results/bench"),
-            results: Vec::new(),
-        }
-    }
-}
-
-impl Criterion {
-    /// Set samples per benchmark (minimum 2).
-    pub fn sample_size(mut self, n: usize) -> Self {
-        self.sample_size = n.max(2);
-        self
-    }
-
-    /// Set the total timed budget per benchmark.
-    pub fn measurement_time(mut self, d: Duration) -> Self {
-        self.measurement_time = d;
-        self
-    }
-
-    /// Set the warmup budget per benchmark.
-    pub fn warm_up_time(mut self, d: Duration) -> Self {
-        self.warm_up_time = d;
-        self
-    }
-
-    /// Set the directory the JSON results file is written into.
-    pub fn output_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.out_dir = dir.into();
-        self
-    }
-
-    /// Apply command-line arguments: `--list` prints names without
-    /// running; the first free argument is a substring filter. Harness
-    /// flags cargo passes (`--bench`, `--exact`, ...) are ignored.
-    pub fn configure_from_args(mut self) -> Self {
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--list" => self.list_only = true,
-                "--sample-size" => {
-                    if let Some(n) = args.next().and_then(|s| s.parse().ok()) {
-                        self.sample_size = n;
-                    }
-                }
-                "--bench" | "--exact" | "--nocapture" | "--quiet" => {}
-                a if a.starts_with("--") => {}
-                a => self.filter = Some(a.to_string()),
-            }
-        }
-        self
-    }
-
-    fn skip(&self, name: &str) -> bool {
-        match &self.filter {
-            Some(f) => !name.contains(f.as_str()),
-            None => false,
-        }
-    }
-
-    /// Benchmark one routine. The closure receives a [`Bencher`] and
-    /// calls [`Bencher::iter`] with the code under test.
-    pub fn bench_function<F>(&mut self, name: &str, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        if self.skip(name) {
-            return self;
-        }
-        if self.list_only {
-            println!("{name}: benchmark");
-            return self;
-        }
-        let mut b = Bencher {
-            sample_size: self.sample_size,
-            measurement_time: self.measurement_time,
-            warm_up_time: self.warm_up_time,
-            record: None,
-        };
-        f(&mut b);
-        let Some(mut record) = b.record else {
-            eprintln!("warning: bench '{name}' never called Bencher::iter");
-            return self;
-        };
-        record.name = name.to_string();
-        println!(
-            "{name:<44} time: [{} {} {}] ({} samples x {} iters)",
-            fmt_ns(record.min_ns()),
-            fmt_ns(record.mean_ns()),
-            fmt_ns(record.max_ns()),
-            record.samples_ns.len(),
-            record.iters_per_sample,
-        );
-        self.results.push(record);
-        self
-    }
-
-    /// Open a named group; benchmarks inside report as `group/name`.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        BenchmarkGroup {
-            criterion: self,
-            prefix: name.to_string(),
-        }
-    }
-
-    /// Print the final table and write the JSON results file.
-    pub fn final_summary(&mut self) {
-        if self.list_only || self.results.is_empty() {
-            return;
-        }
-        println!("\n== bench summary ({} benchmarks) ==", self.results.len());
-        for r in &self.results {
-            println!(
-                "  {:<44} {:>12}/iter  (±{})",
-                r.name,
-                fmt_ns(r.mean_ns()),
-                fmt_ns(r.stddev_ns())
-            );
-        }
-        let target = std::env::args()
-            .next()
-            .and_then(|p| {
-                std::path::Path::new(&p)
-                    .file_stem()
-                    .map(|s| s.to_string_lossy().into_owned())
-            })
-            .unwrap_or_else(|| "bench".to_string());
-        // Strip the `-<hash>` suffix cargo appends to bench executables.
-        let target = match target.rsplit_once('-') {
-            Some((stem, hash))
-                if hash.len() == 16 && hash.bytes().all(|b| b.is_ascii_hexdigit()) =>
-            {
-                stem.to_string()
-            }
-            _ => target,
-        };
-        let doc = Json::obj([
-            ("target", Json::from(target.as_str())),
-            ("sample_size", Json::from(self.sample_size)),
-            (
-                "benchmarks",
-                Json::arr(self.results.iter().map(|r| r.to_json())),
-            ),
-        ]);
-        let out_dir = resolve_out_dir(&self.out_dir);
-        let path = out_dir.join(format!("{target}.json"));
-        match std::fs::create_dir_all(&out_dir)
-            .and_then(|()| std::fs::write(&path, doc.render_pretty()))
-        {
-            Ok(()) => println!("results written to {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
-    }
-
-    /// Results collected so far (for tests).
-    pub fn results(&self) -> &[BenchRecord] {
-        &self.results
-    }
-}
-
-/// A group of related benchmarks sharing a name prefix.
-pub struct BenchmarkGroup<'a> {
-    criterion: &'a mut Criterion,
-    prefix: String,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Benchmark one routine inside the group.
-    pub fn bench_function<F>(&mut self, name: &str, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let full = format!("{}/{name}", self.prefix);
-        self.criterion.bench_function(&full, f);
-        self
-    }
-
-    /// Close the group (consumes it; nothing further to flush).
-    pub fn finish(self) {}
-}
-
-/// Times a routine: warmup, iteration-count calibration, then samples.
-pub struct Bencher {
-    sample_size: usize,
-    measurement_time: Duration,
-    warm_up_time: Duration,
-    record: Option<BenchRecord>,
-}
-
-impl Bencher {
-    /// Measure `routine`, retaining each sample's ns-per-iteration.
-    pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        // Warmup: run until the warmup budget is spent, tracking how many
-        // invocations fit so the calibration below starts informed.
-        let warm_start = Instant::now();
-        let mut warm_iters = 0u64;
-        while warm_start.elapsed() < self.warm_up_time {
-            black_box(routine());
-            warm_iters += 1;
-        }
-        let per_iter = warm_start.elapsed().as_secs_f64() / warm_iters.max(1) as f64;
-
-        // Calibrate iterations per sample to fill the measurement budget.
-        let budget = self.measurement_time.as_secs_f64() / self.sample_size as f64;
-        let iters = ((budget / per_iter.max(1e-9)) as u64).max(1);
-
-        let mut samples_ns = Vec::with_capacity(self.sample_size);
-        for _ in 0..self.sample_size {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                black_box(routine());
-            }
-            let elapsed = t0.elapsed().as_nanos() as f64;
-            samples_ns.push(elapsed / iters as f64);
-        }
-        self.record = Some(BenchRecord {
-            name: String::new(),
-            iters_per_sample: iters,
-            samples_ns,
-        });
-    }
-}
-
 /// Anchor a relative output directory at the workspace root.
 ///
-/// Cargo runs bench/test executables with the *package* directory as the
-/// working directory, which would scatter `results/bench` files across
-/// `crates/*`. Walk up from `CARGO_MANIFEST_DIR` (or the cwd) to the
-/// outermost directory that still has a `Cargo.toml` — the workspace
-/// root — and resolve against that. Absolute paths pass through.
+/// Cargo runs test executables with the *package* directory as the
+/// working directory, and `cargo run -p` points `CARGO_MANIFEST_DIR` at
+/// the package too, so resolving against either would scatter `results/`
+/// files across `crates/*`. Walk up from `CARGO_MANIFEST_DIR` (or the
+/// cwd) to the outermost directory that still has a `Cargo.toml` — the
+/// workspace root — and resolve against that. Absolute paths pass
+/// through.
 pub fn resolve_out_dir(dir: &std::path::Path) -> std::path::PathBuf {
     if dir.is_absolute() {
         return dir.to_path_buf();
@@ -366,10 +42,9 @@ pub fn resolve_out_dir(dir: &std::path::Path) -> std::path::PathBuf {
 /// A coarse wall-clock phase profiler for `--profile` style reports.
 ///
 /// Accumulates total elapsed time and call counts per named phase, in
-/// first-seen order, and renders either a plain-text table or a JSON
-/// document in the same `{"benchmarks": [...]}` shape [`Criterion`]
-/// writes — so [`diff_benchmarks`] can compare profiler runs and bench
-/// runs uniformly.
+/// first-seen order, and renders either a plain-text table or a
+/// `{"benchmarks": [...]}` JSON document that [`diff_benchmarks`] can
+/// compare against another run.
 #[derive(Debug, Default)]
 pub struct Profiler {
     phases: Vec<(String, Duration, u64)>,
@@ -427,8 +102,9 @@ impl Profiler {
         out
     }
 
-    /// The phases as a Criterion-shaped results document (each phase's
-    /// `mean_ns` is its *total* nanoseconds, `samples` its call count).
+    /// The phases as a `{"target", "benchmarks": [{"name", "samples",
+    /// "mean_ns"}]}` results document (each phase's `mean_ns` is its
+    /// *total* nanoseconds, `samples` its call count).
     pub fn to_bench_json(&self, target: &str) -> Json {
         Json::obj([
             ("target", Json::from(target)),
@@ -471,9 +147,9 @@ impl BenchDelta {
     }
 }
 
-/// Pair up benchmarks by name across two results documents (either
-/// [`Criterion`] output or [`Profiler::to_bench_json`]) and return their
-/// mean-ns deltas, in the order of the "before" document. Names present
+/// Pair up benchmarks by name across two `{"benchmarks": [...]}`
+/// results documents (e.g. two [`Profiler::to_bench_json`] runs) and
+/// return their mean-ns deltas, in the order of the "before" document. Names present
 /// in only one document are skipped. Errs when a document is not shaped
 /// like a results file.
 pub fn diff_benchmarks(before: &Json, after: &Json) -> Result<Vec<BenchDelta>, String> {
@@ -510,14 +186,11 @@ pub fn diff_benchmarks(before: &Json, after: &Json) -> Result<Vec<BenchDelta>, S
         .collect())
 }
 
-/// A text table of [`BenchDelta`]s, flagging entries past `max_regress_pct`.
-pub fn render_diff(deltas: &[BenchDelta], max_regress_pct: f64) -> String {
-    render_diff_labeled(deltas, max_regress_pct, "before", "after")
-}
-
-/// [`render_diff`] with custom column headers for the two runs — e.g.
-/// `"cold"`/`"warm"` when diffing persistent-trace-cache profiles.
-/// Labels longer than a column are truncated to keep the table aligned.
+/// A text table of [`BenchDelta`]s, flagging entries past
+/// `max_regress_pct`, with `before_label`/`after_label` as the headers of
+/// the two runs' columns — e.g. `"cold"`/`"warm"` when diffing
+/// persistent-trace-cache profiles. Labels longer than a column are
+/// truncated to keep the table aligned.
 pub fn render_diff_labeled(
     deltas: &[BenchDelta],
     max_regress_pct: f64,
@@ -568,52 +241,19 @@ fn fmt_ns(ns: f64) -> String {
 mod tests {
     use super::*;
 
-    fn fast_criterion() -> Criterion {
-        Criterion::default()
-            .sample_size(3)
-            .warm_up_time(Duration::from_millis(5))
-            .measurement_time(Duration::from_millis(15))
-    }
-
     #[test]
-    fn bench_function_records_samples() {
-        let mut c = fast_criterion();
-        c.bench_function("spin", |b| {
-            b.iter(|| black_box((0..100u64).sum::<u64>()))
-        });
-        let r = &c.results()[0];
-        assert_eq!(r.name, "spin");
-        assert_eq!(r.samples_ns.len(), 3);
-        assert!(r.iters_per_sample >= 1);
-        assert!(r.min_ns() > 0.0);
-        assert!(r.min_ns() <= r.mean_ns() && r.mean_ns() <= r.max_ns());
-    }
+    fn resolve_out_dir_anchors_relative_paths_at_the_workspace_root() {
+        let abs = std::env::temp_dir().join("ampsched-out");
+        assert_eq!(resolve_out_dir(&abs), abs, "absolute paths pass through");
 
-    #[test]
-    fn groups_prefix_names() {
-        let mut c = fast_criterion();
-        let mut g = c.benchmark_group("grp");
-        g.bench_function("a", |b| b.iter(|| black_box(1 + 1)));
-        g.finish();
-        assert_eq!(c.results()[0].name, "grp/a");
-    }
-
-    #[test]
-    fn summary_json_is_well_formed() {
-        let dir = std::env::temp_dir().join("ampsched-timer-test");
-        let mut c = fast_criterion().output_dir(&dir);
-        c.bench_function("x", |b| b.iter(|| black_box(2 * 2)));
-        c.final_summary();
-        let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
-        assert!(!entries.is_empty());
-        for e in entries {
-            let text = std::fs::read_to_string(e.unwrap().path()).unwrap();
-            let doc = Json::parse(&text).expect("results file must be valid JSON");
-            let benches = doc.get("benchmarks").unwrap().as_arr().unwrap();
-            assert_eq!(benches[0].get("name").unwrap().as_str(), Some("x"));
-            assert!(benches[0].get("mean_ns").unwrap().as_f64().unwrap() > 0.0);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+        let crate_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let workspace = crate_dir.parent().and_then(|p| p.parent()).unwrap();
+        let manifest = std::fs::read_to_string(workspace.join("Cargo.toml")).unwrap();
+        assert!(manifest.contains("[workspace]"), "{}", workspace.display());
+        assert_eq!(
+            resolve_out_dir(std::path::Path::new("results/corpus")),
+            workspace.join("results/corpus")
+        );
     }
 
     #[test]
@@ -640,7 +280,7 @@ mod tests {
         assert!((k.change_pct() + 50.0).abs() < 1e-9);
         // "timed" only exists in before: skipped, not an error.
         assert!(deltas.iter().all(|d| d.name != "timed"));
-        let rendered = render_diff(&deltas, 10.0);
+        let rendered = render_diff_labeled(&deltas, 10.0, "before", "after");
         let r = deltas.iter().find(|d| d.name == "report").unwrap();
         assert!(r.change_pct() > 10.0 && rendered.contains("REGRESSION"), "{rendered}");
     }
@@ -679,18 +319,5 @@ mod tests {
         let deltas = diff_benchmarks(&before, &after).unwrap();
         assert_eq!(deltas.len(), 1);
         assert!((deltas[0].speedup() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stats_on_known_samples() {
-        let r = BenchRecord {
-            name: "k".into(),
-            iters_per_sample: 1,
-            samples_ns: vec![1.0, 2.0, 3.0],
-        };
-        assert_eq!(r.min_ns(), 1.0);
-        assert_eq!(r.max_ns(), 3.0);
-        assert!((r.mean_ns() - 2.0).abs() < 1e-12);
-        assert!((r.stddev_ns() - 1.0).abs() < 1e-12);
     }
 }
