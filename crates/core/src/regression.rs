@@ -55,24 +55,16 @@ pub fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
     Some(x)
 }
 
-/// Ordinary least squares: find `beta` minimizing `‖X·beta − y‖²`, where
-/// each row of `xs` is one observation's basis vector.
+/// Ridge-regularized least squares: find `beta` minimizing
+/// `‖X·beta − y‖² + lambda·‖beta[1..]‖²`, where each row of `xs` is one
+/// observation's basis vector (the intercept — column 0 — is not
+/// penalized; `lambda = 0` is ordinary least squares).
 ///
-/// Returns `None` when the normal equations are singular (e.g. fewer
-/// independent observations than basis functions).
-///
-/// # Panics
-/// Panics if `xs` and `y` lengths differ or rows are ragged.
-pub fn least_squares(xs: &[Vec<f64>], y: &[f64]) -> Option<Vec<f64>> {
-    least_squares_ridge(xs, y, 0.0)
-}
-
-/// Ridge-regularized least squares: minimizes
-/// `‖X·beta − y‖² + lambda·‖beta[1..]‖²` (the intercept — column 0 — is
-/// not penalized). Regularization keeps the fit well-behaved when the
-/// profiling data covers only a manifold of the composition space, which
-/// is exactly the situation with real benchmarks (high %INT implies low
-/// %FP and vice versa).
+/// Regularization keeps the fit well-behaved when the profiling data
+/// covers only a manifold of the composition space, which is exactly the
+/// situation with real benchmarks (high %INT implies low %FP and vice
+/// versa). Returns `None` when the normal equations are singular (e.g.
+/// fewer independent observations than basis functions at `lambda = 0`).
 ///
 /// # Panics
 /// Panics if `xs` and `y` lengths differ, rows are ragged, or `lambda`
@@ -139,7 +131,7 @@ mod tests {
                 ys.push(b.iter().zip(&truth).map(|(a, c)| a * c).sum());
             }
         }
-        let beta = least_squares(&xs, &ys).unwrap();
+        let beta = least_squares_ridge(&xs, &ys, 0.0).unwrap();
         for (est, want) in beta.iter().zip(&truth) {
             assert!((est - want).abs() < 1e-8, "est {est} want {want}");
         }
@@ -149,6 +141,6 @@ mod tests {
     fn underdetermined_is_singular() {
         // 2 observations, 6 basis functions.
         let xs = vec![quad_basis(1.0, 2.0).to_vec(), quad_basis(3.0, 4.0).to_vec()];
-        assert!(least_squares(&xs, &[1.0, 2.0]).is_none());
+        assert!(least_squares_ridge(&xs, &[1.0, 2.0], 0.0).is_none());
     }
 }

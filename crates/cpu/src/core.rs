@@ -220,6 +220,25 @@ pub enum SimPath {
     Reference,
 }
 
+impl SimPath {
+    /// Parse a `--sim-path` flag value (`"fast"` / `"reference"`).
+    pub fn from_flag(s: &str) -> Option<SimPath> {
+        match s {
+            "fast" => Some(SimPath::Fast),
+            "reference" => Some(SimPath::Reference),
+            _ => None,
+        }
+    }
+
+    /// The flag spelling (`"fast"` / `"reference"`), for reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            SimPath::Fast => "fast",
+            SimPath::Reference => "reference",
+        }
+    }
+}
+
 /// One out-of-order core executing a [`Workload`] stream.
 pub struct Core {
     cfg: CoreConfig,
@@ -1951,6 +1970,16 @@ mod tests {
             ArchReg::Int(1)
         };
         vec![MicroOp::arith(class, Some(reg), None, Some(reg))]
+    }
+
+    #[test]
+    fn sim_path_flag_round_trips() {
+        assert_eq!(SimPath::from_flag("fast"), Some(SimPath::Fast));
+        assert_eq!(SimPath::from_flag("reference"), Some(SimPath::Reference));
+        assert_eq!(SimPath::from_flag("bogus"), None);
+        assert_eq!(SimPath::default(), SimPath::Fast);
+        assert_eq!(SimPath::Fast.name(), "fast");
+        assert_eq!(SimPath::Reference.name(), "reference");
     }
 
     #[test]

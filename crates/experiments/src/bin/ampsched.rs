@@ -61,31 +61,37 @@
 //! latency (`--corpus`, `--repeat`, `--json`). EXPERIMENTS.md is the
 //! full reference; DESIGN.md §14 the architecture.
 
+use ampsched_cpu::SimPath;
 use ampsched_experiments::{
-    ablation, common::Params, fig1, fig6, fig78, morphing, obs_summary, overhead, profiling,
-    regret, report, rr_interval, rules_derivation, scaling, serve, tables, telemetry, trace_cache,
+    common::Params, obs_summary, profiling, report, serve, telemetry, trace_cache,
 };
-use ampsched_system::SimPath;
 use ampsched_trace::{arena, persist, timing, TracePath};
 use ampsched_util::timer::{resolve_out_dir, Profiler};
 use ampsched_util::Json;
-use std::cell::RefCell;
 use std::path::Path;
 use std::time::Instant;
+
+/// What `all` runs, in order; each name is its `--profile` phase.
+/// fig7/8/9 share one sweep.
+const ALL: &[&str] = &[
+    "tables", "fig1", "fig3", "fig4", "derive-rules", "fig6", "figs789", "overhead",
+    "rr-interval", "ablation", "morphing", "scaling",
+];
 
 fn usage() -> ! {
     eprintln!(
         "usage: ampsched [--quick|--medium] [--pairs N] [--insts N] [--profile-insts N] [--seed N] \
          [--sim-path fast|reference] [--trace-path arena|stream] [--trace-cache DIR] [--profile] \
          [--profile-sample N] [--telemetry FILE] [--trace-events FILE] [--csv FILE] [--json FILE] \
-         <tables|fig1|fig3|fig4|fig6|fig7|fig8|fig9|figs789|overhead|rr-interval|derive-rules|ablation|morphing|scaling|regret|workloads|trace-cache|obs-summary|serve|serve-bench|all>\n\
+         <{}|trace-cache|obs-summary|serve|serve-bench|all>\n\
          \n\
          trace-cache actions: ampsched --trace-cache DIR trace-cache <stats|verify|gc>\n\
          obs-summary usage:   ampsched obs-summary FILE   (FILE from a --telemetry run)\n\
          serve flags:         ampsched serve [--addr HOST:PORT] [--workers N] [--cache-entries N] \
          [--cache-dir DIR] [--deadline-ms N] [--trace-cache DIR] [--access-log FILE] \
          [--flight-recorder FILE]\n\
-         serve-bench flags:   ampsched serve-bench [--addr HOST:PORT] [--corpus FILE] [--repeat N] [--json FILE]"
+         serve-bench flags:   ampsched serve-bench [--addr HOST:PORT] [--corpus FILE] [--repeat N] [--json FILE]",
+        report::COMMANDS.join("|")
     );
     std::process::exit(2);
 }
@@ -128,11 +134,10 @@ fn main() {
             }
             "--sim-path" => {
                 i += 1;
-                params.system.sim_path = match args.get(i).map(String::as_str) {
-                    Some("fast") => SimPath::Fast,
-                    Some("reference") => SimPath::Reference,
-                    _ => usage(),
-                };
+                params.system.sim_path = args
+                    .get(i)
+                    .and_then(|s| SimPath::from_flag(s))
+                    .unwrap_or_else(|| usage());
             }
             "--trace-path" => {
                 i += 1;
@@ -232,16 +237,6 @@ fn main() {
         i += 1;
     }
     let command = command.unwrap_or_else(|| usage());
-    // Reject unknown commands before the (expensive) profiling phase.
-    const COMMANDS: &[&str] = &[
-        "tables", "workloads", "fig1", "fig3", "fig4", "fig6", "fig7", "fig8", "fig9", "figs789",
-        "overhead", "rr-interval", "derive-rules", "ablation", "morphing", "scaling", "regret",
-        "trace-cache", "obs-summary", "serve", "serve-bench", "all",
-    ];
-    if !COMMANDS.contains(&command.as_str()) {
-        eprintln!("unknown command: {command}");
-        usage();
-    }
     // Environment default for the persistent trace cache; the explicit
     // flag wins.
     if params.trace_cache.is_none() {
@@ -359,6 +354,18 @@ fn main() {
         std::process::exit(0);
     }
 
+    // Every standalone command has exited. Reject unknown commands before
+    // the (expensive) profiling phase and before any side-channel file
+    // is opened.
+    let commands: Vec<&str> = match command.as_str() {
+        "all" => ALL.to_vec(),
+        c if report::COMMANDS.contains(&c) => vec![c],
+        _ => {
+            eprintln!("unknown command: {command}");
+            usage();
+        }
+    };
+
     // Observability side channels: the JSONL decision stream and host-time
     // span recording. Both observe the run without feeding back into it.
     if let Some(file) = &params.telemetry {
@@ -390,175 +397,34 @@ fn main() {
     // provisioning time (arena materialize+decode, or sampled live
     // generation on `--trace-path stream`) is accumulated globally by the
     // trace crate and reported as the synthetic "trace" benchmark.
-    let prof: RefCell<Profiler> = RefCell::new(Profiler::new());
+    let mut prof = Profiler::new();
     if profile {
         timing::reset();
         timing::set_stream_sampling(true);
     }
-    let needs_predictors = command == "all" || report::needs_predictors(&command);
-    let preds = if needs_predictors {
+    let preds = if command == "all" || report::needs_predictors(&command) {
         eprintln!("[profiling {} representative benchmarks ...]", 9);
-        Some(
-            prof.borrow_mut()
-                .time("profiling", || profiling::predictors(&params)),
-        )
+        Some(prof.time("profiling", || profiling::predictors(&params)))
     } else {
         None
     };
 
     // Machine-readable report sections, keyed by figure; written as one
     // JSON document at exit when --json is given.
-    let report: RefCell<Vec<(String, Json)>> = RefCell::new(Vec::new());
-
-    let run_one = |cmd: &str| match cmd {
-        "tables" => {
-            println!("Table I — core structure sizes\n\n{}", tables::render_table_i());
-            println!("Table II — execution units\n\n{}", tables::render_table_ii());
-        }
-        "workloads" => {
-            println!("Workload inventory (37 models, Section IV)\n\n{}", tables::render_workloads());
-        }
-        "fig1" => {
-            println!("Figure 1 — IPC/Watt per workload per core\n");
-            let rows = fig1::run(&params);
-            println!("{}", fig1::render(&rows));
-            report.borrow_mut().push(("fig1".into(), fig1::to_json(&rows)));
-        }
-        "fig3" => {
-            println!("Figure 3 — IPC/Watt ratio matrix (INT core / FP core)\n");
-            let matrix = &preds.as_ref().expect("predictors").matrix;
-            println!("{}", profiling::render_matrix(matrix));
-            report.borrow_mut().push(("fig3".into(), profiling::matrix_to_json(matrix)));
-        }
-        "fig4" => {
-            println!("Figure 4 — fitted ratio surface\n");
-            let surface = &preds.as_ref().expect("predictors").surface;
-            println!("{}", profiling::render_surface(surface));
-            report.borrow_mut().push(("fig4".into(), profiling::surface_to_json(surface)));
-        }
-        "fig6" => {
-            println!("Figure 6 — window/history sensitivity\n");
-            let pts = fig6::run(&params, preds.as_ref().expect("predictors"));
-            println!("{}", fig6::render(&pts));
-            report.borrow_mut().push(("fig6".into(), fig6::to_json(&pts)));
-        }
-        "fig7" | "fig8" | "fig9" | "figs789" => {
-            eprintln!("[running {}-pair sweep under 3 schedulers ...]", params.num_pairs);
-            let sweep = fig78::run_sweep(&params, preds.as_ref().expect("predictors"));
-            if let Some(path) = &csv_path {
-                let mut f = std::fs::File::create(path).expect("create csv file");
-                fig78::write_sweep_csv(&sweep, &mut f).expect("write csv");
+    let mut json_sections = Vec::new();
+    for cmd in commands {
+        let run = || {
+            report::run(cmd, &params, preds.as_ref()).expect("a known command with its predictors")
+        };
+        let sections = if profile { prof.time(cmd, run) } else { run() };
+        for section in sections {
+            print!("{}", section.text);
+            if let (Some(csv), Some(path)) = (&section.csv, &csv_path) {
+                std::fs::write(path, csv).expect("write csv");
                 eprintln!("[per-pair results written to {path}]");
             }
-            report.borrow_mut().push(("sweep".into(), fig78::to_json(&sweep)));
-            match cmd {
-                "fig7" => {
-                    println!("Figure 7 — proposed vs HPE\n");
-                    println!("{}", fig78::render_fig(&sweep, fig78::Reference::Hpe));
-                }
-                "fig8" => {
-                    println!("Figure 8 — proposed vs Round Robin\n");
-                    println!("{}", fig78::render_fig(&sweep, fig78::Reference::RoundRobin));
-                }
-                "fig9" => {
-                    println!("Figure 9 — worst/average/best IPC/Watt improvements\n");
-                    println!("{}", fig78::render_fig9(&sweep));
-                }
-                _ => {
-                    println!("Figure 7 — proposed vs HPE\n");
-                    println!("{}", fig78::render_fig(&sweep, fig78::Reference::Hpe));
-                    println!("Figure 8 — proposed vs Round Robin\n");
-                    println!("{}", fig78::render_fig(&sweep, fig78::Reference::RoundRobin));
-                    println!("Figure 9 — worst/average/best IPC/Watt improvements\n");
-                    println!("{}", fig78::render_fig9(&sweep));
-                }
-            }
+            json_sections.extend(section.json);
         }
-        "overhead" => {
-            println!("Section VI-C — swap-overhead sensitivity\n");
-            let pts = overhead::run(&params, preds.as_ref().expect("predictors"));
-            println!("{}", overhead::render(&pts));
-            report.borrow_mut().push(("overhead".into(), overhead::to_json(&pts)));
-        }
-        "rr-interval" => {
-            println!("Section VII — Round Robin decision-interval comparison\n");
-            let r = rr_interval::run(&params, preds.as_ref().expect("predictors"));
-            println!("{}", rr_interval::render(&r));
-            report.borrow_mut().push(("rr_interval".into(), rr_interval::to_json(&r)));
-        }
-        "derive-rules" => {
-            println!("Section VI-A — swap-rule threshold derivation\n");
-            let d = rules_derivation::derive(&params, 50);
-            println!("{}", rules_derivation::render(&d));
-        }
-        "morphing" => {
-            println!("Extension — core morphing sequential comparison (cf. [5])\n");
-            let rows = morphing::run(&params);
-            println!("{}", morphing::render(&rows));
-            report.borrow_mut().push(("morphing".into(), morphing::to_json(&rows)));
-        }
-        "ablation" => {
-            println!("Ablation battery (all variants vs static baseline)\n");
-            let rows = ablation::run(&params, preds.as_ref().expect("predictors"));
-            println!("{}", ablation::render(&rows));
-            report.borrow_mut().push(("ablation".into(), ablation::to_json(&rows)));
-        }
-        "scaling" => {
-            println!("Scaling — N-core x M-thread scheduler-zoo sweep\n");
-            let r = scaling::run(&params);
-            println!("{}", scaling::render(&r));
-            report.borrow_mut().push(("scaling".into(), scaling::to_json(&r)));
-        }
-        "regret" => {
-            println!("Regret — every scheduler vs the clairvoyant oracle\n");
-            eprintln!("[racing {}-pair corpus against the offline DP oracle ...]", params.num_pairs);
-            let r = regret::run(&params, preds.as_ref().expect("predictors"));
-            println!("{}", regret::render(&r));
-            report.borrow_mut().push(("regret".into(), regret::to_json(&r)));
-        }
-        other => {
-            eprintln!("unknown command: {other}");
-            usage();
-        }
-    };
-
-    let timed = |cmd: &str| {
-        if profile {
-            prof.borrow_mut().time(cmd, || run_one(cmd));
-        } else {
-            run_one(cmd);
-        }
-    };
-
-    if command == "all" {
-        // Run the full index. fig7/8/9 share one sweep.
-        timed("tables");
-        timed("fig1");
-        timed("fig3");
-        timed("fig4");
-        timed("derive-rules");
-        timed("fig6");
-        eprintln!("[running {}-pair sweep under 3 schedulers ...]", params.num_pairs);
-        let run_sweep = || fig78::run_sweep(&params, preds.as_ref().expect("predictors"));
-        let sweep = if profile {
-            prof.borrow_mut().time("figs789", run_sweep)
-        } else {
-            run_sweep()
-        };
-        report.borrow_mut().push(("sweep".into(), fig78::to_json(&sweep)));
-        println!("Figure 7 — proposed vs HPE\n");
-        println!("{}", fig78::render_fig(&sweep, fig78::Reference::Hpe));
-        println!("Figure 8 — proposed vs Round Robin\n");
-        println!("{}", fig78::render_fig(&sweep, fig78::Reference::RoundRobin));
-        println!("Figure 9 — worst/average/best\n");
-        println!("{}", fig78::render_fig9(&sweep));
-        timed("overhead");
-        timed("rr-interval");
-        timed("ablation");
-        timed("morphing");
-        timed("scaling");
-    } else {
-        timed(&command);
     }
     // Persist any streams materialized this run before reporting, so the
     // next process starts warm even when no doubling write-back or
@@ -578,10 +444,7 @@ fn main() {
             Err(e) => eprintln!("cannot write trace events to {}: {e}", file.display()),
         }
     }
-    let sim_path_name = match params.system.sim_path {
-        SimPath::Fast => "fast",
-        SimPath::Reference => "reference",
-    };
+    let sim_path_name = params.system.sim_path.name();
     let trace_path_name = params.trace_path.name();
     if let Some(path) = &json_path {
         // One assembly path with the serve daemon (report::assemble):
@@ -593,14 +456,13 @@ fn main() {
         let doc = report::assemble(
             &command,
             &params,
-            report.into_inner(),
+            json_sections,
             telemetry::summary_json(),
         );
         std::fs::write(path, doc.render_pretty()).expect("write json report");
         eprintln!("[json report written to {path}]");
     }
     if profile {
-        let mut prof = prof.into_inner();
         let trace_time = timing::total();
         prof.add("trace", trace_time);
         // Fold recorded spans in under a `span.` prefix: new per-name

@@ -8,11 +8,13 @@
 //!
 //! Each `figN` module exposes a `run(&Params) -> ...Result` function that
 //! returns structured data and a `render` path producing the ASCII table /
-//! series the paper reports. Two front ends drive the same entry
-//! points: the `ampsched` CLI binary and the [`serve`] daemon, which
+//! series the paper reports. Two front ends drive them through one
+//! dispatch: the `ampsched` CLI binary and the [`serve`] daemon, which
 //! answers experiment requests over HTTP from a content-addressed result
-//! cache with byte-identical output ([`report`] is the shared assembly
-//! path that makes that identity hold).
+//! cache with byte-identical output. [`report`] computes every command's
+//! sections ([`report::run`]) and assembles the report document
+//! ([`report::assemble`]) for both, which is what makes that identity
+//! hold.
 
 #![warn(missing_docs)]
 

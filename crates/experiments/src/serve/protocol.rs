@@ -107,11 +107,10 @@ pub fn parse_request(body: &[u8], base: &Params) -> Result<JobSpec, String> {
             "profile_insts" => params.profile_insts = want_u64("profile_insts", value)?,
             "seed" => params.seed = want_u64("seed", value)?,
             "sim_path" => {
-                params.system.sim_path = match value.as_str() {
-                    Some("fast") => SimPath::Fast,
-                    Some("reference") => SimPath::Reference,
-                    _ => return Err("\"sim_path\" must be \"fast\" or \"reference\"".into()),
-                }
+                params.system.sim_path = value
+                    .as_str()
+                    .and_then(SimPath::from_flag)
+                    .ok_or("\"sim_path\" must be \"fast\" or \"reference\"")?
             }
             "trace_path" => {
                 params.trace_path = value
@@ -140,10 +139,6 @@ pub fn parse_request(body: &[u8], base: &Params) -> Result<JobSpec, String> {
 /// reordering and sensitive to every value change.
 pub fn canonical_key(spec: &JobSpec) -> String {
     let p = &spec.params;
-    let sim_path = match p.system.sim_path {
-        SimPath::Fast => "fast",
-        SimPath::Reference => "reference",
-    };
     format!(
         "experiment={};epoch_cycles={};flush_l1_on_swap={};max_cycles={};num_pairs={};\
          profile_insts={};profile_interval_cycles={};run_insts={};seed={};sim_path={};\
@@ -157,7 +152,7 @@ pub fn canonical_key(spec: &JobSpec) -> String {
         p.profile_interval_cycles,
         p.run_insts,
         p.seed,
-        sim_path,
+        p.system.sim_path.name(),
         p.system.swap_overhead_cycles,
         p.trace_cache
             .as_deref()

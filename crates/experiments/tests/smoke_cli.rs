@@ -330,3 +330,74 @@ fn ampsched_trace_path_stream_matches_arena_report() {
         "arena and stream provisioning must produce identical results"
     );
 }
+
+/// A fresh, empty temp directory for one test.
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("ampsched-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+#[test]
+fn ampsched_csv_writes_one_row_per_pair() {
+    let dir = temp_dir("csv");
+    let csv = dir.join("pairs.csv");
+    let out = Command::new(env!("CARGO_BIN_EXE_ampsched"))
+        .args(QUICK)
+        .arg("--csv")
+        .arg(&csv)
+        .arg("fig7")
+        .output()
+        .expect("run ampsched");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(&csv).expect("csv written");
+    std::fs::remove_dir_all(&dir).ok();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(
+        lines[0],
+        "pair,ppw_proposed_t0,ppw_proposed_t1,ppw_hpe_t0,ppw_hpe_t1,ppw_rr_t0,ppw_rr_t1,\
+         weighted_vs_hpe_pct,geometric_vs_hpe_pct,weighted_vs_rr_pct,geometric_vs_rr_pct,\
+         swaps_proposed,swaps_hpe,swaps_rr"
+    );
+    assert_eq!(lines.len(), 1 + 2, "header plus one row per pair (--pairs 2)");
+    for row in &lines[1..] {
+        assert_eq!(row.split(',').count(), 14, "{row}");
+        assert!(row.split(',').next().unwrap().contains('+'), "{row}");
+    }
+}
+
+#[test]
+fn ampsched_text_only_commands_print_their_headings() {
+    for (command, headings) in [
+        ("tables", &["Table I — core structure sizes", "Table II — execution units"][..]),
+        ("workloads", &["Workload inventory (37 models, Section IV)"][..]),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ampsched"))
+            .arg(command)
+            .output()
+            .expect("run ampsched");
+        assert!(out.status.success(), "{command}: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        for h in headings {
+            assert!(stdout.contains(h), "{command} must print {h:?}:\n{stdout}");
+        }
+    }
+}
+
+#[test]
+fn ampsched_unknown_command_exits_2_before_opening_telemetry() {
+    let dir = temp_dir("unknown");
+    let telemetry = dir.join("decisions.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_ampsched"))
+        .arg("--telemetry")
+        .arg(&telemetry)
+        .arg("no-such-command")
+        .output()
+        .expect("run ampsched");
+    let created = telemetry.exists();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command: no-such-command"));
+    assert!(!created, "an unknown command must not create the telemetry file");
+}

@@ -99,16 +99,6 @@ impl OpClass {
     pub const fn is_int_arith(self) -> bool {
         matches!(self, OpClass::IntAlu | OpClass::IntMul | OpClass::IntDiv)
     }
-
-    /// Whether the destination register (if any) lives in the FP register
-    /// file.
-    #[inline]
-    pub const fn writes_fp_reg(self) -> bool {
-        // FP arithmetic writes FP registers; FP loads are modeled as
-        // integer-addressed but may target FP registers — the trace decides
-        // per-instruction, this is only the default for arithmetic.
-        self.is_fp()
-    }
 }
 
 impl fmt::Display for OpClass {
@@ -153,9 +143,6 @@ impl ExecDomain {
         }
     }
 }
-
-/// Number of [`ExecDomain`] variants.
-pub const NUM_DOMAINS: usize = 4;
 
 #[cfg(test)]
 mod tests {

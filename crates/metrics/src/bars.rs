@@ -42,33 +42,6 @@ pub fn hbar_chart(rows: &[(String, f64)], width: usize, unit: &str) -> String {
     out
 }
 
-/// A compact sparkline over a series (eight levels).
-///
-/// ```
-/// use ampsched_metrics::bars::sparkline;
-/// let s = sparkline(&[0.0, 0.5, 1.0]);
-/// assert_eq!(s.chars().count(), 3);
-/// ```
-pub fn sparkline(values: &[f64]) -> String {
-    const LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    if values.is_empty() {
-        return String::new();
-    }
-    let (mut lo, mut hi) = (f64::MAX, f64::MIN);
-    for v in values {
-        lo = lo.min(*v);
-        hi = hi.max(*v);
-    }
-    let span = (hi - lo).max(1e-12);
-    values
-        .iter()
-        .map(|v| {
-            let idx = (((v - lo) / span) * 7.0).round() as usize;
-            LEVELS[idx.min(7)]
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,17 +72,6 @@ mod tests {
     #[test]
     fn empty_rows_render_empty() {
         assert_eq!(hbar_chart(&[], 20, ""), "");
-    }
-
-    #[test]
-    fn sparkline_levels() {
-        let s = sparkline(&[0.0, 1.0]);
-        assert_eq!(s.chars().next(), Some('▁'));
-        assert_eq!(s.chars().last(), Some('█'));
-        assert_eq!(sparkline(&[]), "");
-        // Constant series does not panic and stays at one level.
-        let flat = sparkline(&[2.0, 2.0, 2.0]);
-        assert_eq!(flat.chars().count(), 3);
     }
 
     #[test]

@@ -40,13 +40,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience: append a row of formatted floats after a label.
-    pub fn row_f(&mut self, label: &str, values: &[f64], precision: usize) {
-        let mut cells = vec![label.to_string()];
-        cells.extend(values.iter().map(|v| format!("{v:.precision$}")));
-        self.row(&cells);
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -121,7 +114,7 @@ mod tests {
     fn table_aligns_and_renders() {
         let mut t = Table::new(&["name", "value"]);
         t.row(&["a".into(), "1.0".into()]);
-        t.row_f("long-name", &[2.3456], 2);
+        t.row(&["long-name".into(), "2.35".into()]);
         let s = t.render();
         assert!(s.contains("name"));
         assert!(s.contains("long-name"));

@@ -9,82 +9,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Geometric mean of positive values. Returns 0 for an empty slice.
-///
-/// # Panics
-/// Panics if any value is non-positive.
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = xs
-        .iter()
-        .map(|x| {
-            assert!(*x > 0.0, "geomean requires positive values");
-            x.ln()
-        })
-        .sum();
-    (log_sum / xs.len() as f64).exp()
-}
-
-/// Population standard deviation. Returns 0 for fewer than two values.
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
-/// Median (of a copy; input untouched). Returns 0 for an empty slice.
-pub fn median(xs: &[f64]) -> f64 {
-    percentile(xs, 50.0)
-}
-
-/// Percentile `p` in `[0,100]` with linear interpolation.
-/// Returns 0 for an empty slice.
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in metrics"));
-    let rank = (p.clamp(0.0, 100.0) / 100.0) * (v.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        v[lo]
-    } else {
-        let frac = rank - lo as f64;
-        v[lo] * (1.0 - frac) + v[hi] * frac
-    }
-}
-
-/// The *binned statistical mode* the paper uses to collapse multiple
-/// ratio observations into one matrix cell: values are quantized into
-/// bins of width `bin_width`, and the center of the most populated bin is
-/// returned. Ties go to the lower bin. Returns `None` for an empty slice.
-///
-/// # Panics
-/// Panics if `bin_width` is not positive.
-pub fn binned_mode(xs: &[f64], bin_width: f64) -> Option<f64> {
-    assert!(bin_width > 0.0, "bin width must be positive");
-    if xs.is_empty() {
-        return None;
-    }
-    use std::collections::BTreeMap;
-    let mut counts: BTreeMap<i64, usize> = BTreeMap::new();
-    for x in xs {
-        let bin = (x / bin_width).floor() as i64;
-        *counts.entry(bin).or_insert(0) += 1;
-    }
-    let (&bin, _) = counts
-        .iter()
-        .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
-        .expect("non-empty");
-    Some((bin as f64 + 0.5) * bin_width)
-}
-
 /// Indices of the `k` smallest values (ascending by value).
 pub fn k_smallest_indices(xs: &[f64], k: usize) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..xs.len()).collect();
@@ -109,38 +33,11 @@ mod tests {
     fn basic_moments() {
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert!((mean(&xs) - 2.5).abs() < 1e-12);
-        assert!((median(&xs) - 2.5).abs() < 1e-12);
-        assert!(stddev(&xs) > 1.0 && stddev(&xs) < 1.2);
-    }
-
-    #[test]
-    fn geomean_of_reciprocals_is_unity() {
-        let xs = [2.0, 0.5, 4.0, 0.25];
-        assert!((geomean(&xs) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_slices() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(geomean(&[]), 0.0);
-        assert_eq!(median(&[]), 0.0);
-        assert_eq!(binned_mode(&[], 0.1), None);
-    }
-
-    #[test]
-    fn percentiles_interpolate() {
-        let xs = [0.0, 10.0];
-        assert!((percentile(&xs, 25.0) - 2.5).abs() < 1e-12);
-        assert!((percentile(&xs, 100.0) - 10.0).abs() < 1e-12);
-        assert!((percentile(&xs, 0.0) - 0.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn binned_mode_finds_cluster() {
-        // Cluster around 1.3 with outliers.
-        let xs = [1.31, 1.28, 1.34, 0.4, 2.9, 1.27];
-        let m = binned_mode(&xs, 0.1).unwrap();
-        assert!((m - 1.25).abs() < 0.11, "mode bin center {m}");
     }
 
     #[test]

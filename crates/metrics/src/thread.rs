@@ -62,17 +62,6 @@ impl ThreadMetrics {
             ("ipc_per_watt", Json::from(self.ipc_per_watt())),
         ])
     }
-
-    /// Deserialize from the object [`ThreadMetrics::to_json`] produces
-    /// (derived fields are recomputed, not trusted).
-    pub fn from_json(doc: &Json) -> Option<ThreadMetrics> {
-        Some(ThreadMetrics {
-            instructions: doc.get("instructions")?.as_u64()?,
-            cycles: doc.get("cycles")?.as_u64()?,
-            joules: doc.get("joules")?.as_f64()?,
-            frequency_hz: doc.get("frequency_hz")?.as_f64()?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -108,18 +97,9 @@ mod tests {
         let t = m();
         let doc = t.to_json();
         let parsed = Json::parse(&doc.render()).expect("well-formed");
-        assert_eq!(ThreadMetrics::from_json(&parsed), Some(t));
+        assert_eq!(parsed, doc);
         // Derived fields are present for report consumers.
         assert!((doc.get("ipc").unwrap().as_f64().unwrap() - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_json_rejects_malformed() {
-        assert_eq!(ThreadMetrics::from_json(&Json::Null), None);
-        assert_eq!(
-            ThreadMetrics::from_json(&Json::obj([("instructions", Json::from(1u64))])),
-            None
-        );
     }
 
     #[test]

@@ -336,11 +336,6 @@ impl MulticoreSystem {
         self.cores.len()
     }
 
-    /// Number of threads.
-    pub fn num_threads(&self) -> usize {
-        self.workloads.len()
-    }
-
     /// Per-thread committed instructions so far.
     pub fn thread_instructions(&self) -> &[u64] {
         &self.thread_insts
