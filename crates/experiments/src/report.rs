@@ -87,9 +87,10 @@ pub fn params_json(params: &Params) -> Json {
 
 /// Assemble the full report document: `command`, `params`, the given
 /// sections in order, then the `telemetry` block. The CLI passes the
-/// live `sim.*` snapshot; the server passes a per-request delta
-/// snapshot (which is identical for a deterministic command — see
-/// `ampsched_obs::metrics::Snapshot::delta`).
+/// process-global `sim.*` snapshot; the server passes the `sim.*` events
+/// of the job's own [`compute_sections`] call, tallied by
+/// `ampsched_obs::metrics::scoped` (identical for a deterministic
+/// command).
 pub fn assemble(
     command: &str,
     params: &Params,

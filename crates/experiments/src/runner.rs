@@ -5,11 +5,13 @@
 //! scale. Work items are claimed from an atomic counter by scoped worker
 //! threads; results return in input order.
 
+use ampsched_obs::metrics;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Map `f` over `items` using up to `available_parallelism` threads,
-/// preserving input order in the output.
+/// preserving input order in the output. The workers join the caller's
+/// [`metrics::scoped`] tally, so it counts every item's events once.
 ///
 /// ```
 /// use ampsched_experiments::runner::parallel_map;
@@ -35,15 +37,18 @@ where
     // and only ever write their own slot, so a plain Mutex per slot
     // (never contended) keeps the write safe without aggregate locking.
     let results: Vec<Mutex<Option<R>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
+    let tally = metrics::current_scope();
     std::thread::scope(|scope| {
         for _ in 0..n_threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(&items[i]);
-                *results[i].lock().expect("slot lock") = Some(r);
+            scope.spawn(|| {
+                tally.enter(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= items.len() {
+                        break;
+                    }
+                    let r = f(&items[i]);
+                    *results[i].lock().expect("slot lock") = Some(r);
+                })
             });
         }
     });
@@ -77,5 +82,22 @@ mod tests {
     #[test]
     fn single_item() {
         assert_eq!(parallel_map(&[41u64], |x| x + 1), vec![42]);
+    }
+
+    #[test]
+    fn scoped_counts_every_item_once() {
+        let items: Vec<u64> = (1..=64).collect();
+        let ((), snap) = metrics::scoped(|| {
+            parallel_map(&items, |&x| {
+                ampsched_obs::counter!("sim.test.runner.item");
+                ampsched_obs::hist!("sim.test.runner.value", x);
+            });
+        });
+        assert_eq!(snap.counters, [("sim.test.runner.item".to_string(), 64)]);
+        let h = &snap.hists[0];
+        assert_eq!(
+            (h.name.as_str(), h.count, h.sum),
+            ("sim.test.runner.value", 64, 2080)
+        );
     }
 }

@@ -1,19 +1,14 @@
 //! The serve worker pool: a fixed set of threads draining a FIFO job
 //! queue, each job one headless experiment run.
 //!
-//! Simulation execution is serialized by a process-global lock even
-//! when the pool has many threads. That is deliberate: the `sim.*`
-//! telemetry counters are process globals, and the byte-identity
-//! contract (DESIGN.md §14) is met by snapshotting them before and
-//! after a job and reporting the *delta* — which is only equal to a
-//! fresh CLI process's counters if no other simulation ran in between.
-//! The pool still buys concurrency where it is safe: request parsing,
-//! cache lookups, disk spills, and response writes all overlap; only
-//! the simulate-and-render region is exclusive.
+//! Workers run jobs in parallel. Each job reports the `sim.*` events its
+//! own run recorded, tallied by [`metrics::scoped`], so its telemetry
+//! block equals a fresh CLI process's whatever else the daemon runs
+//! meanwhile (DESIGN.md §14).
 
 use super::cache::{CellBytes, ResultCache};
 use super::protocol::JobSpec;
-use crate::{profiling, report};
+use crate::report;
 use ampsched_obs::metrics;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
@@ -189,13 +184,6 @@ impl WorkerPool {
     }
 }
 
-/// The exclusive simulate-and-render region (see module docs for why
-/// this is a single global lock rather than per-worker state).
-fn sim_lock() -> &'static Mutex<()> {
-    static LOCK: std::sync::OnceLock<Mutex<()>> = std::sync::OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
 /// Host-time breakdown of one executed job, for the per-request
 /// timeline (`/requestz`): simulate vs render.
 #[derive(Debug, Clone, Copy)]
@@ -220,17 +208,12 @@ pub fn execute_job(spec: &JobSpec) -> Result<CellBytes, String> {
 /// only — the rendered bytes are identical either way (the byte-identity
 /// differential in `serve_obs` holds the serve layer to that).
 pub fn execute_job_timed(spec: &JobSpec) -> Result<(CellBytes, JobTiming), String> {
-    let guard = sim_lock().lock().unwrap_or_else(|poisoned| {
-        // A previous job panicked inside the region; the counters it
-        // bumped are absorbed by the next delta's `before` snapshot, so
-        // the lock is safe to keep using.
-        poisoned.into_inner()
-    });
-    let before = metrics::snapshot();
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let sim_start = std::time::Instant::now();
-        let sections = report::compute_sections(&spec.experiment, &spec.params)?;
-        let telemetry = metrics::snapshot().delta(&before).filtered("sim.").to_json();
+        let (sections, events) =
+            metrics::scoped(|| report::compute_sections(&spec.experiment, &spec.params));
+        let sections = sections?;
+        let telemetry = events.filtered("sim.").to_json();
         let sim_us = sim_start.elapsed().as_micros() as u64;
         let render_start = std::time::Instant::now();
         let doc = report::assemble(&spec.experiment, &spec.params, sections, telemetry);
@@ -243,7 +226,6 @@ pub fn execute_job_timed(spec: &JobSpec) -> Result<(CellBytes, JobTiming), Strin
         };
         Ok((bytes, timing))
     }));
-    drop(guard);
     match result {
         Ok(outcome) => outcome,
         Err(payload) => {
@@ -254,17 +236,6 @@ pub fn execute_job_timed(spec: &JobSpec) -> Result<(CellBytes, JobTiming), Strin
                 .unwrap_or_else(|| "opaque panic payload".to_string());
             Err(format!("experiment panicked: {msg}"))
         }
-    }
-}
-
-/// Warm the process the way a CLI run would be warm: used by tests and
-/// `serve-bench` to pre-register predictor instruments. Not required
-/// for correctness (the delta mechanism handles cold instruments), but
-/// keeps first-request latency out of warm-path measurements.
-pub fn warmup(spec: &JobSpec) {
-    if report::needs_predictors(&spec.experiment) {
-        let _guard = sim_lock().lock().unwrap_or_else(|p| p.into_inner());
-        let _ = profiling::predictors(&spec.params);
     }
 }
 
@@ -333,9 +304,17 @@ mod tests {
 
     #[test]
     fn execute_job_is_deterministic_across_repeats() {
+        // Other tests in this process simulate at the same time; a job's
+        // telemetry must still hold only its own events.
+        let golden = std::fs::read(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/compat/fig1.json"
+        ))
+        .unwrap();
         let spec = quick_fig1();
         let a = execute_job(&spec).unwrap();
         let b = execute_job(&spec).unwrap();
         assert_eq!(*a, *b, "same spec must render identical bytes");
+        assert!(*a == golden, "{}", String::from_utf8_lossy(&a));
     }
 }

@@ -25,9 +25,10 @@
 //!
 //! Disabled paths are a single relaxed atomic load (spans, telemetry) or
 //! an integer level compare (logging). Counters always count — they are a
-//! relaxed fetch-add on a cached `&'static AtomicU64` — but are only ever
-//! touched at decision points, multi-cycle skips, and per-chunk trace
-//! operations, never inside the per-cycle hot loop.
+//! relaxed fetch-add on a cached `&'static AtomicU64`, plus a thread-local
+//! add inside a [`metrics::scoped`] call — but are only ever touched at
+//! decision points, multi-cycle skips, and per-chunk trace operations,
+//! never inside the per-cycle hot loop.
 //!
 //! ```
 //! ampsched_obs::counter!("demo.events");

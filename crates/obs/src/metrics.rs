@@ -1,4 +1,5 @@
-//! Process-global counters and fixed-bucket histograms.
+//! Process-global counters and fixed-bucket histograms, plus
+//! [`scoped`] tallies of the events one region of work records.
 //!
 //! Instruments register themselves by name on first use and live for the
 //! life of the process (the registry leaks one allocation per unique
@@ -6,7 +7,7 @@
 //! relaxed atomic op — no locking after the first touch). The
 //! [`counter!`](crate::counter) and [`hist!`](crate::hist) macros cache
 //! the handle per call site, so steady-state cost is one atomic
-//! fetch-add.
+//! fetch-add plus one thread-local add.
 //!
 //! Histograms use power-of-two buckets: bucket 0 holds exactly `0`,
 //! bucket `i >= 1` holds `[2^(i-1), 2^i - 1]`. Bucket boundaries are
@@ -20,8 +21,9 @@
 //! cache temperature.
 
 use ampsched_util::Json;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Number of histogram buckets: `{0}` plus one per power of two.
 pub const BUCKETS: usize = 65;
@@ -30,50 +32,39 @@ pub const BUCKETS: usize = 65;
 #[derive(Debug)]
 pub struct Counter {
     value: AtomicU64,
+    /// This counter's index in a [`scoped`] tally.
+    slot: usize,
 }
 
 impl Counter {
-    const fn new() -> Counter {
-        Counter {
-            value: AtomicU64::new(0),
-        }
-    }
-
     /// Add `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        tally(self.slot, n);
     }
 }
 
 /// A fixed-bucket power-of-two histogram of `u64` samples.
 #[derive(Debug)]
 pub struct Hist {
-    count: AtomicU64,
-    sum: AtomicU64,
-    buckets: [AtomicU64; BUCKETS],
+    /// Per-bucket sample counts, then the (wrapping) sample sum; the
+    /// sample count is the sum of the buckets.
+    cells: [AtomicU64; BUCKETS + 1],
+    /// Index of `cells[0]` in a [`scoped`] tally; the other cells follow.
+    slot: usize,
 }
 
 impl Hist {
-    fn new() -> Hist {
-        Hist {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
     /// Record one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        let bucket = bucket_index(v);
+        self.cells[bucket].fetch_add(1, Ordering::Relaxed);
+        self.cells[BUCKETS].fetch_add(v, Ordering::Relaxed);
+        // The sum's slot is the highest, so the tally grows at most once.
+        tally(self.slot + BUCKETS, v);
+        tally(self.slot + bucket, 1);
     }
 }
 
@@ -142,19 +133,18 @@ pub fn bucket_bounds(i: usize) -> (u64, u64) {
     }
 }
 
+#[derive(Default)]
 struct Registry {
     counters: Vec<(&'static str, &'static Counter)>,
     hists: Vec<(&'static str, &'static Hist)>,
+    /// Tally slots handed out so far: one per counter, `BUCKETS + 1` per
+    /// histogram.
+    slots: usize,
 }
 
 fn registry() -> &'static Mutex<Registry> {
     static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        Mutex::new(Registry {
-            counters: Vec::new(),
-            hists: Vec::new(),
-        })
-    })
+    REGISTRY.get_or_init(Mutex::default)
 }
 
 /// Look up (or register) the counter named `name`. The handle is
@@ -165,7 +155,11 @@ pub fn counter(name: &'static str) -> &'static Counter {
     if let Some((_, c)) = reg.counters.iter().find(|(n, _)| *n == name) {
         return c;
     }
-    let c: &'static Counter = Box::leak(Box::new(Counter::new()));
+    let c: &'static Counter = Box::leak(Box::new(Counter {
+        value: AtomicU64::new(0),
+        slot: reg.slots,
+    }));
+    reg.slots += 1;
     reg.counters.push((name, c));
     c
 }
@@ -176,7 +170,11 @@ pub fn hist(name: &'static str) -> &'static Hist {
     if let Some((_, h)) = reg.hists.iter().find(|(n, _)| *n == name) {
         return h;
     }
-    let h: &'static Hist = Box::leak(Box::new(Hist::new()));
+    let h: &'static Hist = Box::leak(Box::new(Hist {
+        cells: std::array::from_fn(|_| AtomicU64::new(0)),
+        slot: reg.slots,
+    }));
+    reg.slots += BUCKETS + 1;
     reg.hists.push((name, h));
     h
 }
@@ -211,118 +209,138 @@ impl HistSnapshot {
     }
 }
 
-/// Snapshot every registered counter and histogram, sorted by name.
-pub fn snapshot() -> Snapshot {
+/// Every registered instrument sorted by name, each value read as
+/// `read(global cell, tally slot)`.
+fn read_registry(read: impl Fn(&AtomicU64, usize) -> u64) -> Snapshot {
     let reg = registry().lock().expect("metrics registry lock");
     let mut counters: Vec<(String, u64)> = reg
         .counters
         .iter()
-        .map(|(n, c)| (n.to_string(), c.get()))
+        .map(|(n, c)| (n.to_string(), read(&c.value, c.slot)))
         .collect();
     counters.sort();
     let mut hists: Vec<HistSnapshot> = reg
         .hists
         .iter()
-        .map(|(n, h)| HistSnapshot {
-            name: n.to_string(),
-            count: h.count.load(Ordering::Relaxed),
-            sum: h.sum.load(Ordering::Relaxed),
-            buckets: (0..BUCKETS)
+        .map(|(n, h)| {
+            let cell = |i: usize| read(&h.cells[i], h.slot + i);
+            let buckets: Vec<(u64, u64, u64)> = (0..BUCKETS)
                 .filter_map(|i| {
-                    let c = h.buckets[i].load(Ordering::Relaxed);
+                    let c = cell(i);
                     (c > 0).then(|| {
                         let (lo, hi) = bucket_bounds(i);
                         (lo, hi, c)
                     })
                 })
-                .collect(),
+                .collect();
+            HistSnapshot {
+                name: n.to_string(),
+                count: buckets.iter().map(|&(_, _, c)| c).sum(),
+                sum: cell(BUCKETS),
+                buckets,
+            }
         })
         .collect();
     hists.sort_by(|a, b| a.name.cmp(&b.name));
     Snapshot { counters, hists }
 }
 
-/// Zero every registered instrument (registrations persist). For tests.
-pub fn reset() {
-    let reg = registry().lock().expect("metrics registry lock");
-    for (_, c) in &reg.counters {
-        c.value.store(0, Ordering::Relaxed);
-    }
-    for (_, h) in &reg.hists {
-        h.count.store(0, Ordering::Relaxed);
-        h.sum.store(0, Ordering::Relaxed);
-        for b in &h.buckets {
-            b.store(0, Ordering::Relaxed);
+/// Snapshot every registered counter and histogram, sorted by name.
+pub fn snapshot() -> Snapshot {
+    read_registry(|cell, _| cell.load(Ordering::Relaxed))
+}
+
+/// A [`scoped`] call's shared tally, indexed by instrument slot.
+type Sink = Arc<Mutex<Vec<u64>>>;
+
+thread_local! {
+    /// The scope this thread is in: its sink and this thread's private
+    /// tally, merged into the sink when the thread leaves the scope.
+    static LOCAL: RefCell<Option<(Sink, Vec<u64>)>> = const { RefCell::new(None) };
+}
+
+/// Add `n` to `slot` of this thread's tally, if it is in a scope.
+#[inline]
+fn tally(slot: usize, n: u64) {
+    // `try_with`: an event from a thread-local destructor is still
+    // counted globally.
+    let _ = LOCAL.try_with(|local| {
+        if let Some((_, t)) = local.borrow_mut().as_mut() {
+            add(t, slot, n);
         }
+    });
+}
+
+/// Add `n` to `t[slot]`, growing `t` as needed.
+fn add(t: &mut Vec<u64>, slot: usize, n: u64) {
+    if t.len() <= slot {
+        t.resize(slot + 1, 0);
+    }
+    t[slot] = t[slot].wrapping_add(n);
+}
+
+/// A handle on the [`scoped`] call the current thread is in, for the
+/// threads it spawns to [`enter`](Scope::enter); a no-op outside one.
+pub struct Scope(Option<Sink>);
+
+/// The [`Scope`] the calling thread is in.
+pub fn current_scope() -> Scope {
+    Scope(LOCAL.with_borrow(|l| l.as_ref().map(|(sink, _)| Arc::clone(sink))))
+}
+
+impl Scope {
+    /// Run `f` on this thread with its events also tallied into this
+    /// scope. The tally is merged when `f` returns or unwinds; an
+    /// enclosing scope on this thread sees the events too.
+    pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        let Some(sink) = &self.0 else { return f() };
+        if LOCAL.with_borrow(|l| l.as_ref().is_some_and(|(s, _)| Arc::ptr_eq(s, sink))) {
+            return f();
+        }
+        let _leave = Leave(LOCAL.replace(Some((Arc::clone(sink), Vec::new()))));
+        f()
     }
 }
 
-impl Snapshot {
-    /// What happened *between* two snapshots: per-counter and per-bucket
-    /// differences of `self` (the later snapshot) against `earlier`.
-    ///
-    /// Instruments whose value did not change are dropped entirely, so a
-    /// delta taken around a region of work is indistinguishable from a
-    /// fresh process that only ran that region — the property the
-    /// `ampsched serve` workers rely on to reproduce the CLI's
-    /// `telemetry` report block byte-for-byte from a long-running
-    /// process (instruments registered by *earlier* requests would
-    /// otherwise leak in as zero-valued entries a fresh CLI run never
-    /// emits).
-    ///
-    /// Counters are monotone, so a name missing from `earlier` is
-    /// treated as previously 0; per-bucket histogram counts subtract the
-    /// same way.
-    pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
-        let counters = self
-            .counters
-            .iter()
-            .filter_map(|(name, now)| {
-                let before = earlier
-                    .counters
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|(_, v)| *v)
-                    .unwrap_or(0);
-                let d = now.saturating_sub(before);
-                (d > 0).then(|| (name.clone(), d))
-            })
-            .collect();
-        let hists = self
-            .hists
-            .iter()
-            .filter_map(|now| {
-                let before = earlier.hists.iter().find(|h| h.name == now.name);
-                let (b_count, b_sum) = before.map(|h| (h.count, h.sum)).unwrap_or((0, 0));
-                let d_count = now.count.saturating_sub(b_count);
-                if d_count == 0 {
-                    return None;
-                }
-                let buckets = now
-                    .buckets
-                    .iter()
-                    .filter_map(|&(lo, hi, c)| {
-                        let b = before
-                            .and_then(|h| {
-                                h.buckets.iter().find(|&&(l, h2, _)| l == lo && h2 == hi)
-                            })
-                            .map(|&(_, _, c)| c)
-                            .unwrap_or(0);
-                        let d = c.saturating_sub(b);
-                        (d > 0).then_some((lo, hi, d))
-                    })
-                    .collect();
-                Some(HistSnapshot {
-                    name: now.name.clone(),
-                    count: d_count,
-                    sum: now.sum.wrapping_sub(b_sum),
-                    buckets,
-                })
-            })
-            .collect();
-        Snapshot { counters, hists }
-    }
+/// Restores the enclosing scope on drop, after merging the inner tally
+/// into its sink and into the enclosing tally.
+struct Leave(Option<(Sink, Vec<u64>)>);
 
+impl Drop for Leave {
+    fn drop(&mut self) {
+        let Some((sink, t)) = LOCAL.replace(self.0.take()) else { return };
+        // Merging only adds, so a sink poisoned by another thread's panic
+        // is still a valid tally.
+        let mut sink = sink.lock().unwrap_or_else(PoisonError::into_inner);
+        LOCAL.with_borrow_mut(|outer| {
+            for (slot, &n) in t.iter().enumerate() {
+                add(&mut sink, slot, n);
+                if let Some((_, outer)) = outer {
+                    add(outer, slot, n);
+                }
+            }
+        });
+    }
+}
+
+/// Run `f` and return, next to its result, exactly the counter and
+/// histogram events recorded while it ran: on this thread, and on any
+/// thread that entered its [`current_scope`] (as `parallel_map`'s
+/// workers do) and left it before `f` returned. Instruments `f` left at
+/// zero are absent, so for instruments that never add 0 (every `sim.*`
+/// one) the snapshot equals the global one of a fresh process that ran
+/// only `f`. The events still reach the global registry as well.
+pub fn scoped<R>(f: impl FnOnce() -> R) -> (R, Snapshot) {
+    let sink = Sink::default();
+    let r = Scope(Some(Arc::clone(&sink))).enter(f);
+    let t = std::mem::take(&mut *sink.lock().unwrap_or_else(PoisonError::into_inner));
+    let mut snap = read_registry(|_, slot| t.get(slot).copied().unwrap_or(0));
+    snap.counters.retain(|&(_, v)| v > 0);
+    snap.hists.retain(|h| h.count > 0);
+    (r, snap)
+}
+
+impl Snapshot {
     /// Keep only instruments whose name starts with `prefix`.
     pub fn filtered(&self, prefix: &str) -> Snapshot {
         Snapshot {
@@ -421,7 +439,7 @@ mod tests {
         assert!(std::ptr::eq(a, b));
         a.add(2);
         b.add(3);
-        assert_eq!(a.get(), 5);
+        assert_eq!(counter_in(&snapshot(), "test.metrics.dedup"), Some(5));
     }
 
     #[test]
@@ -438,47 +456,79 @@ mod tests {
         assert_eq!(bucket_bounds(64), (1 << 63, u64::MAX));
     }
 
-    #[test]
-    fn delta_drops_untouched_instruments_and_subtracts_buckets() {
-        let c = counter("test.metrics.delta_counter");
-        let idle = counter("test.metrics.delta_idle");
-        let h = hist("test.metrics.delta_hist");
-        idle.add(7); // registered + nonzero *before* the region
-        c.add(1);
-        h.record(2);
-        let before = snapshot();
-        c.add(4);
-        h.record(2);
-        h.record(100);
-        let after = snapshot();
-        let d = after.delta(&before);
-        // The idle counter didn't move inside the region: absent.
-        assert!(d.counters.iter().all(|(n, _)| n != "test.metrics.delta_idle"));
-        let dc = d
-            .counters
-            .iter()
-            .find(|(n, _)| n == "test.metrics.delta_counter")
-            .expect("changed counter present");
-        assert_eq!(dc.1, 4);
-        let dh = d
-            .hists
-            .iter()
-            .find(|h| h.name == "test.metrics.delta_hist")
-            .expect("changed hist present");
-        assert_eq!(dh.count, 2);
-        assert_eq!(dh.sum, 102);
-        // Bucket for value 2 held one sample before, two after: delta 1.
-        assert!(dh.buckets.contains(&(2, 3, 1)));
-        assert!(dh.buckets.contains(&(64, 127, 1)));
+    fn counter_in(s: &Snapshot, name: &str) -> Option<u64> {
+        s.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+    }
+
+    fn hist_in<'a>(s: &'a Snapshot, name: &str) -> Option<&'a HistSnapshot> {
+        s.hists.iter().find(|h| h.name == name)
     }
 
     #[test]
-    fn delta_of_identical_snapshots_is_empty() {
-        counter("test.metrics.delta_noop").add(3);
-        let s = snapshot();
-        let d = s.delta(&s.clone());
-        assert!(d.counters.is_empty(), "{:?}", d.counters);
-        assert!(d.hists.is_empty());
+    fn concurrent_scopes_see_only_their_own_events() {
+        let c = counter("sim.test.scoped");
+        let h = hist("sim.test.scoped_cycles");
+        let only_a = counter("sim.test.scoped_only_a");
+        let before = snapshot();
+        // The barrier holds both scopes open while both threads record.
+        let barrier = std::sync::Barrier::new(2);
+        let run = |events: u64, sample: u64, touch_only_a: bool| {
+            scoped(|| {
+                barrier.wait();
+                for _ in 0..events {
+                    c.add(1);
+                    h.record(sample);
+                }
+                if touch_only_a {
+                    only_a.add(5);
+                }
+                barrier.wait();
+            })
+            .1
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| run(3, 2, true));
+            let b = s.spawn(|| run(7, 100, false));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(counter_in(&a, "sim.test.scoped"), Some(3));
+        assert_eq!(counter_in(&b, "sim.test.scoped"), Some(7));
+        assert_eq!(counter_in(&a, "sim.test.scoped_only_a"), Some(5));
+        let ha = hist_in(&a, "sim.test.scoped_cycles").unwrap();
+        let hb = hist_in(&b, "sim.test.scoped_cycles").unwrap();
+        assert_eq!((ha.count, ha.sum, ha.buckets.clone()), (3, 6, vec![(2, 3, 3)]));
+        assert_eq!((hb.count, hb.sum, hb.buckets.clone()), (7, 700, vec![(64, 127, 7)]));
+        // Nothing a scope did not touch shows up in it, not even
+        // instruments other tests are bumping meanwhile.
+        assert_eq!((a.counters.len(), a.hists.len()), (2, 1), "{a:?}");
+        assert_eq!((b.counters.len(), b.hists.len()), (1, 1), "{b:?}");
+        // The global registry holds the sum of both scopes.
+        let after = snapshot();
+        let moved = |name| counter_in(&after, name).unwrap() - counter_in(&before, name).unwrap();
+        assert_eq!(moved("sim.test.scoped"), 10);
+        let (h0, h1) = (
+            hist_in(&before, "sim.test.scoped_cycles").unwrap(),
+            hist_in(&after, "sim.test.scoped_cycles").unwrap(),
+        );
+        assert_eq!((h1.count - h0.count, h1.sum - h0.sum), (10, 706));
+    }
+
+    #[test]
+    fn entered_threads_and_nested_scopes_count_into_the_enclosing_scope() {
+        let c = counter("sim.test.enter");
+        let (inner, outer) = scoped(|| {
+            let scope = current_scope();
+            std::thread::scope(|s| {
+                s.spawn(|| scope.enter(|| c.add(2)));
+            });
+            // Entering the scope this thread is already in counts once.
+            scope.enter(|| c.add(1));
+            scoped(|| c.add(4)).1
+        });
+        assert_eq!(counter_in(&inner, "sim.test.enter"), Some(4));
+        assert_eq!(counter_in(&outer, "sim.test.enter"), Some(7));
+        // Outside any scope the handle is a no-op.
+        assert_eq!(current_scope().enter(|| 5), 5);
     }
 
     #[test]
