@@ -15,16 +15,13 @@
 //! measurements from `--profile` phase timings. Warm entries also carry
 //! exact nearest-rank `p50_ns`/`p95_ns`/`p99_ns` over the raw samples
 //! (`bench_diff` reads only the fields it knows, so the extra keys are
-//! compatible by construction),
-//! and every successful bench refreshes the `BENCH_serve.json` perf
-//! snapshot in the working directory — the repo-root trajectory file.
+//! compatible by construction). The bench writes no other file: the
+//! committed `BENCH_serve.json` ledger is refreshed only by naming it
+//! with `--json`.
 
 use super::http;
 use ampsched_util::Json;
 use std::time::Instant;
-
-/// File name of the perf snapshot refreshed on every successful bench.
-pub const SNAPSHOT_FILE: &str = "BENCH_serve.json";
 
 /// What `ampsched serve-bench` needs, resolved from CLI flags.
 #[derive(Debug, Clone)]
@@ -179,19 +176,10 @@ pub fn run(config: &BenchConfig) -> Result<(), String> {
         warm_requests
     );
 
-    let doc = artifact(&lanes);
     if let Some(path) = &config.json_out {
-        std::fs::write(path, doc.render_pretty())
+        std::fs::write(path, artifact(&lanes).render_pretty())
             .map_err(|e| format!("cannot write bench artifact {path}: {e}"))?;
         eprintln!("[bench artifact written to {path}]");
-    }
-    // The perf-trajectory snapshot: refreshed on every successful bench
-    // so the working tree always carries the latest service numbers
-    // (`bench_diff BENCH_serve.json <new>` is the comparison tool).
-    if let Err(e) = std::fs::write(SNAPSHOT_FILE, doc.render_pretty()) {
-        eprintln!("[warning: cannot refresh {SNAPSHOT_FILE}: {e}]");
-    } else {
-        eprintln!("[perf snapshot refreshed: {SNAPSHOT_FILE}]");
     }
     Ok(())
 }

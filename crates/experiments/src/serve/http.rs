@@ -10,7 +10,8 @@
 //!
 //! Parsing reads from any [`Read`], so split reads (a request arriving
 //! one byte at a time) are handled by construction and unit-testable
-//! without sockets:
+//! without sockets; [`read_request`] runs the same parser against a
+//! socket under one deadline for the whole request:
 //!
 //! ```
 //! use ampsched_experiments::serve::http::{parse_request, Limits};
@@ -22,7 +23,9 @@
 //! assert_eq!(req.body, b"{}");
 //! ```
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
+use std::time::Instant;
 
 /// Hard caps on request size, tuned for a JSON control protocol (the
 /// largest legitimate request is a few hundred bytes of overrides).
@@ -75,7 +78,9 @@ pub enum HttpError {
     HeadTooLarge,
     /// `Content-Length` exceeds [`Limits::max_body_bytes`] → 413.
     BodyTooLarge,
-    /// Transport error (including timeouts) while reading.
+    /// The whole-request read deadline passed first → 408.
+    Timeout,
+    /// Any other transport error while reading → 400.
     Io(std::io::Error),
 }
 
@@ -86,6 +91,7 @@ impl HttpError {
             HttpError::BadRequest(_) => (400, "Bad Request"),
             HttpError::HeadTooLarge => (431, "Request Header Fields Too Large"),
             HttpError::BodyTooLarge => (413, "Payload Too Large"),
+            HttpError::Timeout => (408, "Request Timeout"),
             HttpError::Io(_) => (400, "Bad Request"),
         }
     }
@@ -96,7 +102,17 @@ impl HttpError {
             HttpError::BadRequest(m) => m.clone(),
             HttpError::HeadTooLarge => "request head exceeds limit".to_string(),
             HttpError::BodyTooLarge => "request body exceeds limit".to_string(),
+            HttpError::Timeout => "request not received within the read deadline".to_string(),
             HttpError::Io(e) => format!("read error: {e}"),
+        }
+    }
+
+    /// Classify a failed `read`: a socket read timeout surfaces as
+    /// `WouldBlock` on Unix and `TimedOut` elsewhere.
+    fn from_read(e: std::io::Error) -> HttpError {
+        match e.kind() {
+            ErrorKind::WouldBlock | ErrorKind::TimedOut => HttpError::Timeout,
+            _ => HttpError::Io(e),
         }
     }
 }
@@ -126,7 +142,7 @@ pub fn parse_request(r: &mut impl Read, limits: &Limits) -> Result<Request, Http
         if head.len() > limits.max_head_bytes {
             return Err(HttpError::HeadTooLarge);
         }
-        let n = r.read(&mut buf).map_err(HttpError::Io)?;
+        let n = r.read(&mut buf).map_err(HttpError::from_read)?;
         if n == 0 {
             return Err(HttpError::BadRequest(
                 "connection closed before end of headers".to_string(),
@@ -206,7 +222,7 @@ pub fn parse_request(r: &mut impl Read, limits: &Limits) -> Result<Request, Http
     let mut body = overflow;
     while body.len() < content_length {
         let want = (content_length - body.len()).min(buf.len());
-        let n = r.read(&mut buf[..want]).map_err(HttpError::Io)?;
+        let n = r.read(&mut buf[..want]).map_err(HttpError::from_read)?;
         if n == 0 {
             return Err(HttpError::BadRequest(format!(
                 "connection closed mid-body ({} of {content_length} bytes)",
@@ -222,6 +238,35 @@ pub fn parse_request(r: &mut impl Read, limits: &Limits) -> Result<Request, Http
         headers,
         body,
     })
+}
+
+/// Read and parse one request from `stream`, head and body together
+/// before `deadline`. Before each read the socket timeout is set to the
+/// time left, so a client that trickles bytes cannot hold the
+/// connection past the deadline: it gets [`HttpError::Timeout`].
+pub fn read_request(
+    stream: &TcpStream,
+    deadline: Instant,
+    limits: &Limits,
+) -> Result<Request, HttpError> {
+    parse_request(&mut DeadlineReader { stream, deadline }, limits)
+}
+
+/// A socket whose every read ends by one fixed instant.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
 }
 
 /// Byte offset of the `\r\n\r\n` head terminator, if present.
@@ -269,7 +314,6 @@ pub fn request(
     path: &str,
     body: &[u8],
 ) -> Result<ClientResponse, String> {
-    use std::net::TcpStream;
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     stream
         .set_read_timeout(Some(std::time::Duration::from_secs(600)))
@@ -310,6 +354,7 @@ fn parse_response(raw: &[u8]) -> Result<ClientResponse, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     /// A reader that hands out at most `chunk` bytes per `read` call —
     /// the split-read adversary.
@@ -432,6 +477,70 @@ mod tests {
             parse_request(&mut &raw[..], &Limits::default()),
             Err(HttpError::BadRequest(_))
         ));
+    }
+
+    /// A connected `(client, server)` socket pair on loopback.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (client, server)
+    }
+
+    #[test]
+    fn unfinished_head_times_out_as_408() {
+        let (mut client, server) = socket_pair();
+        client.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n").unwrap();
+        let started = Instant::now();
+        let deadline = started + Duration::from_millis(200);
+        let err = read_request(&server, deadline, &Limits::default()).unwrap_err();
+        assert!(matches!(err, HttpError::Timeout), "{err:?}");
+        assert_eq!(err.status(), (408, "Request Timeout"));
+        let took = started.elapsed();
+        assert!(took >= Duration::from_millis(200), "{took:?}");
+        assert!(took < Duration::from_secs(2), "{took:?}");
+    }
+
+    #[test]
+    fn the_deadline_covers_the_whole_request_not_each_read() {
+        // Every byte arrives well inside any per-read timeout, but the
+        // request as a whole would take over a second.
+        let (client, server) = socket_pair();
+        let writer = std::thread::spawn(move || {
+            let mut client = client;
+            for byte in POST.chunks(1) {
+                if client.write_all(byte).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        });
+        let started = Instant::now();
+        let deadline = started + Duration::from_millis(200);
+        let err = read_request(&server, deadline, &Limits::default()).unwrap_err();
+        assert!(matches!(err, HttpError::Timeout), "{err:?}");
+        assert!(started.elapsed() < Duration::from_secs(1));
+        drop(server);
+        writer.join().unwrap();
+    }
+
+    #[test]
+    fn split_request_inside_the_deadline_parses() {
+        let (client, server) = socket_pair();
+        let writer = std::thread::spawn(move || {
+            let mut client = client;
+            for chunk in POST.chunks(9) {
+                client.write_all(chunk).unwrap();
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            client
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let req = read_request(&server, deadline, &Limits::default()).unwrap();
+        assert_eq!(req.method, "POST");
+        assert_eq!(req.path, "/run");
+        assert_eq!(req.body, b"{\"a\":\"b+c\"}");
+        writer.join().unwrap();
     }
 
     #[test]

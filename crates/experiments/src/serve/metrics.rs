@@ -21,6 +21,8 @@
 //! | `serve.job.execute` | jobs a worker actually ran |
 //! | `serve.job.panic` | jobs that panicked (answered 500, not cached) |
 //! | `serve.error.bad_request` | 400s (protocol or validation errors) |
+//! | `serve.error.read_timeout` | 408s (request not read within the read deadline) |
+//! | `serve.error.over_capacity` | 503s to connections past the connection cap |
 //! | `serve.error.timeout` | 504s (deadline elapsed; job continues) |
 //! | `serve.error.failed` | 500s (job failed) |
 //! | `serve.latency_us` | `/run` wall time, microseconds (histogram) |
@@ -105,6 +107,8 @@ pub fn outcome_hist(outcome: &str) -> &'static str {
         "failed" => "serve.latency.outcome.failed_us",
         "bad-request" => "serve.latency.outcome.bad_request_us",
         "draining" => "serve.latency.outcome.draining_us",
+        "read-timeout" => "serve.latency.outcome.read_timeout_us",
+        "over-capacity" => "serve.latency.outcome.over_capacity_us",
         _ => "serve.latency.outcome.other_us",
     }
 }

@@ -20,10 +20,18 @@
 //! | `GET /debugz/flight` | flight-recorder ring dump (JSONL) |
 //! | `POST /shutdown` | stop accepting, drain, exit |
 //!
+//! The front end is one thread blocked in `accept`, plus one handler
+//! thread per connection up to [`ServeConfig::max_connections`]; past
+//! the cap the acceptor itself answers `503` with `Retry-After`. Each
+//! request must arrive whole within [`ServeConfig::read_timeout_ms`] of
+//! its accept, or it is answered `408`. Shutdown only sets a flag; a
+//! watcher thread wakes the acceptor by connecting to the daemon's own
+//! address.
+//!
 //! Every accepted request gets a deterministic id (`r-` + accept
 //! sequence number) and a per-phase timeline
-//! (parse → cache-claim → queue-wait → sim → serialize → write for a
-//! cache miss) recorded in `ampsched_obs::request`; `--access-log`
+//! (accept → parse → cache-claim → queue-wait → sim → serialize → write
+//! for a cache miss) recorded in `ampsched_obs::request`; `--access-log`
 //! writes one JSONL line per request from the same records ([`reqlog`]).
 //!
 //! Two guarantees the tests enforce end to end:
@@ -50,9 +58,10 @@ use ampsched_obs::{request as obs_request, ring as obs_ring};
 use ampsched_util::Json;
 use cache::{Claim, ResultCache, WaitOutcome};
 use queue::{Job, JobQueue, WorkerPool};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::io::Read;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Everything `ampsched serve` needs to come up, resolved from CLI
@@ -82,6 +91,20 @@ pub struct ServeConfig {
     /// ring is written here on a worker panic or a 504 (none). The ring
     /// itself records regardless — `GET /debugz/flight` always works.
     pub flight_recorder: Option<std::path::PathBuf>,
+    /// Connections served at once (`64`), each on its own thread. The
+    /// acceptor answers a connection past the cap `503` with
+    /// `Retry-After: 1` and closes it. Settable only so the cap can be
+    /// tested with tens of connections; no caller outside the tests
+    /// changes it, and it has no CLI flag. The default is a picked
+    /// value, not a measured one.
+    pub max_connections: usize,
+    /// Whole-request read deadline in milliseconds (`10_000`): head and
+    /// body must arrive within it of the accept, or the request is
+    /// answered `408` and its slot freed. Settable only so the deadline
+    /// can be tested in well under a second; no caller outside the
+    /// tests changes it, and it has no CLI flag. The default is a
+    /// picked value, not a measured one.
+    pub read_timeout_ms: u64,
 }
 
 impl Default for ServeConfig {
@@ -95,9 +118,18 @@ impl Default for ServeConfig {
             base: Params::default(),
             access_log: None,
             flight_recorder: None,
+            max_connections: 64,
+            read_timeout_ms: 10_000,
         }
     }
 }
+
+/// How often the shutdown watcher looks at the shutdown flag. The
+/// watcher is the one wake path: `POST /shutdown` and a
+/// [`Server::shutdown_handle`] store both only set the flag, and the
+/// watcher's self-connect returns the acceptor from `accept` within
+/// this interval. Off the request path.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(25);
 
 /// A bound (but not yet serving) daemon. `bind` then `run`; tests use
 /// [`Server::local_addr`] between the two to learn the ephemeral port.
@@ -145,60 +177,182 @@ impl Server {
 
     /// A handle that makes [`Server::run`] return when set — the same
     /// flag `POST /shutdown` sets. For embedding the server in tests.
+    /// A store is seen within 25 ms by the watcher thread,
+    /// which then wakes the blocked acceptor.
     pub fn shutdown_handle(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.shutdown)
     }
 
-    /// Serve until shutdown, then drain: stop accepting, let queued
-    /// jobs finish, wait for in-flight connections, join the pool.
+    /// Serve until shutdown, then drain: stop accepting, wait for
+    /// in-flight connections, let queued jobs finish, join the pool.
     pub fn run(self) -> std::io::Result<()> {
+        let wake = wake_addr(self.listener.local_addr()?);
+        let shutdown = Arc::clone(&self.shutdown);
+        let watcher = std::thread::Builder::new()
+            .name("serve-shutdown".to_string())
+            .spawn(move || {
+                while !shutdown.load(Ordering::SeqCst) {
+                    std::thread::park_timeout(SHUTDOWN_POLL);
+                }
+                // Return the acceptor from `accept` so it sees the flag.
+                // Best effort: once the acceptor is gone it may fail.
+                let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+            })?;
         let pool = WorkerPool::spawn(
             self.config.workers,
             Arc::clone(&self.queue),
             Arc::clone(&self.cache),
         );
-        self.listener.set_nonblocking(true)?;
-        let active = Arc::new(AtomicUsize::new(0));
-        while !self.shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let ctx = ConnCtx {
-                        queue: Arc::clone(&self.queue),
-                        cache: Arc::clone(&self.cache),
-                        shutdown: Arc::clone(&self.shutdown),
-                        deadline: Duration::from_millis(self.config.deadline_ms.max(1)),
-                        workers: self.config.workers,
-                        base: self.config.base.clone(),
-                        access_log: self.access_log.clone(),
-                    };
-                    let active = Arc::clone(&active);
-                    active.fetch_add(1, Ordering::SeqCst);
-                    std::thread::Builder::new()
-                        .name("serve-conn".to_string())
-                        .spawn(move || {
-                            handle_connection(stream, &ctx);
-                            active.fetch_sub(1, Ordering::SeqCst);
-                        })
-                        .expect("spawn connection handler");
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) => return Err(e),
+        let deadline = Duration::from_millis(self.config.deadline_ms.max(1));
+        let ctx = Arc::new(ConnCtx {
+            queue: Arc::clone(&self.queue),
+            cache: Arc::clone(&self.cache),
+            shutdown: Arc::clone(&self.shutdown),
+            deadline,
+            read_timeout: Duration::from_millis(self.config.read_timeout_ms.max(1)),
+            workers: self.config.workers,
+            base: self.config.base.clone(),
+            access_log: self.access_log.clone(),
+        });
+        let conns = Arc::new(Conns::default());
+        let result = loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(e) => break Err(e),
+            };
+            let accepted = Instant::now();
+            // The watcher connected to wake us; its stream, or a
+            // client's that raced it, is dropped unanswered.
+            if self.shutdown.load(Ordering::SeqCst) {
+                break Ok(());
             }
-        }
+            let Some(slot) = Conns::enter(&conns, self.config.max_connections) else {
+                reject_over_capacity(stream, &ctx, accepted);
+                continue;
+            };
+            let ctx = Arc::clone(&ctx);
+            std::thread::Builder::new()
+                .name("serve-conn".to_string())
+                .spawn(move || {
+                    handle_connection(stream, &ctx, accepted);
+                    drop(slot);
+                })
+                .expect("spawn connection handler");
+        };
+        self.shutdown.store(true, Ordering::SeqCst);
+        watcher.thread().unpark();
         // Drain: connections first (they may still enqueue), then the
         // queue and pool. A stuck connection cannot wedge shutdown
         // forever — its cache wait is bounded by the deadline.
-        let drain_start = Instant::now();
-        let drain_cap = Duration::from_millis(self.config.deadline_ms.max(1))
-            + Duration::from_secs(5);
-        while active.load(Ordering::SeqCst) > 0 && drain_start.elapsed() < drain_cap {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        conns.wait_idle(deadline + Duration::from_secs(5));
         pool.join();
-        Ok(())
+        let _ = watcher.join();
+        result
     }
+}
+
+/// Where to connect to wake the acceptor: the bound address, with a
+/// wildcard IP replaced by loopback.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// The live connection count: the acceptor's admission gate and what
+/// the drain waits on.
+#[derive(Default)]
+struct Conns {
+    live: Mutex<usize>,
+    idle: Condvar,
+}
+
+/// One taken connection slot; dropping it frees the slot, also when
+/// the handler panicked.
+struct Slot(Arc<Conns>);
+
+impl Conns {
+    /// Take a slot, unless `max` are taken.
+    fn enter(conns: &Arc<Conns>, max: usize) -> Option<Slot> {
+        let mut live = conns.live.lock().expect("connection count poisoned");
+        if *live >= max {
+            return None;
+        }
+        *live += 1;
+        Some(Slot(Arc::clone(conns)))
+    }
+
+    /// Block until no slot is taken, or `cap` has passed.
+    fn wait_idle(&self, cap: Duration) {
+        let live = self.live.lock().expect("connection count poisoned");
+        let _ = self.idle.wait_timeout_while(live, cap, |live| *live > 0);
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        // Every update is one whole `+= 1` or `-= 1`, so a poisoned
+        // count is still exact.
+        let mut live = self.0.live.lock().unwrap_or_else(|e| e.into_inner());
+        *live -= 1;
+        if *live == 0 {
+            self.0.idle.notify_all();
+        }
+    }
+}
+
+/// Answer a connection past [`ServeConfig::max_connections`] from the
+/// acceptor, without blocking it: `503` with `Retry-After: 1`, then
+/// close. A `POST /shutdown` whose request line has already arrived is
+/// honoured instead, so a daemon whose slots are all held by parked
+/// `/run` waiters can still be stopped; one whose bytes are still on
+/// the way gets the 503 and gets through on its retry.
+fn reject_over_capacity(mut stream: TcpStream, ctx: &ConnCtx, accepted: Instant) {
+    if read_arrived(&stream).starts_with(b"POST /shutdown ") {
+        ampsched_obs::counter!("serve.request");
+        let obs = RequestObs::begin("POST /shutdown", "/shutdown", accepted, Instant::now());
+        respond_shutdown(&mut stream, ctx, obs);
+        return;
+    }
+    ampsched_obs::counter!("serve.error.over_capacity");
+    let obs = RequestObs::begin("-", "-", accepted, accepted);
+    respond_error(
+        &mut stream,
+        ctx,
+        obs,
+        (503, "Service Unavailable"),
+        &[("Retry-After", "1")],
+        "too many connections; retry later",
+        "over-capacity",
+    );
+}
+
+/// Most request bytes [`read_arrived`] takes off a socket.
+const MAX_ARRIVED: usize = 64 * 1024;
+
+/// Read, without blocking, the request bytes that have already arrived
+/// on `stream` (up to [`MAX_ARRIVED`]). Closing a socket with unread
+/// input sends a reset rather than FIN, and the reset can discard a
+/// response the client has not read yet: before this read, a client
+/// that sent its request to a full daemon lost the 503 in 200 of 200
+/// tries. Bytes that arrive after the read can still cause a reset.
+fn read_arrived(mut stream: &TcpStream) -> Vec<u8> {
+    let mut arrived = Vec::new();
+    if stream.set_nonblocking(true).is_err() {
+        return arrived;
+    }
+    let mut buf = [0u8; 4096];
+    while arrived.len() < MAX_ARRIVED {
+        match stream.read(&mut buf) {
+            Ok(n @ 1..) => arrived.extend_from_slice(&buf[..n]),
+            _ => break,
+        }
+    }
+    let _ = stream.set_nonblocking(false);
+    arrived
 }
 
 /// What a connection handler needs from the server.
@@ -207,6 +361,7 @@ struct ConnCtx {
     cache: Arc<ResultCache>,
     shutdown: Arc<AtomicBool>,
     deadline: Duration,
+    read_timeout: Duration,
     workers: usize,
     base: Params,
     access_log: Option<Arc<reqlog::AccessLog>>,
@@ -218,19 +373,25 @@ struct ConnCtx {
 /// served byte.
 struct RequestObs {
     id: Option<String>,
+    accepted: Instant,
     started: Instant,
     route_hist: &'static str,
 }
 
 impl RequestObs {
     /// Open a record for a request on `path` labelled `route`
-    /// (`"POST /run"`); `started` is when the connection began reading.
-    fn begin(route: &str, path: &str, started: Instant) -> RequestObs {
-        RequestObs {
+    /// (`"POST /run"`) and record its `accept` phase: from `accepted`,
+    /// when `accept` returned the connection, to `started`, when its
+    /// handler began reading.
+    fn begin(route: &str, path: &str, accepted: Instant, started: Instant) -> RequestObs {
+        let obs = RequestObs {
             id: obs_request::begin(route),
+            accepted,
             started,
             route_hist: metrics::route_hist(path),
-        }
+        };
+        obs.phase("accept", started.duration_since(accepted));
+        obs
     }
 
     /// Record one phase duration against this request.
@@ -247,11 +408,11 @@ impl RequestObs {
         }
     }
 
-    /// Seal the request: record total latency in the per-route and
-    /// per-outcome histogram families, move the record to the completed
-    /// history, and write the access-log line.
+    /// Seal the request: record total latency since the accept in the
+    /// per-route and per-outcome histogram families, move the record to
+    /// the completed history, and write the access-log line.
     fn finish(self, ctx: &ConnCtx, outcome: &str, status: u16, bytes: usize) {
-        let total_us = self.started.elapsed().as_micros() as u64;
+        let total_us = self.accepted.elapsed().as_micros() as u64;
         ampsched_obs::metrics::hist(self.route_hist).record(total_us);
         ampsched_obs::metrics::hist(metrics::outcome_hist(outcome)).record(total_us);
         if let Some(id) = &self.id {
@@ -267,37 +428,29 @@ impl RequestObs {
 }
 
 /// Serve exactly one request on `stream` (the protocol is one request
-/// per connection, `Connection: close`).
-fn handle_connection(mut stream: TcpStream, ctx: &ConnCtx) {
+/// per connection, `Connection: close`), accepted at `accepted`.
+fn handle_connection(mut stream: TcpStream, ctx: &ConnCtx, accepted: Instant) {
     let started = Instant::now();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .ok();
-    let request = match http::parse_request(&mut stream, &http::Limits::default()) {
+    let read_deadline = accepted + ctx.read_timeout;
+    let request = match http::read_request(&stream, read_deadline, &http::Limits::default()) {
         Ok(r) => r,
         Err(e) => {
-            ampsched_obs::counter!("serve.error.bad_request");
-            let obs = RequestObs::begin("-", "-", started);
+            let outcome = if let http::HttpError::Timeout = e {
+                ampsched_obs::counter!("serve.error.read_timeout");
+                "read-timeout"
+            } else {
+                ampsched_obs::counter!("serve.error.bad_request");
+                "bad-request"
+            };
+            let obs = RequestObs::begin("-", "-", accepted, started);
             obs.phase("parse", started.elapsed());
-            let (status, reason) = e.status();
-            let body = error_body(&e.detail());
-            let wt = Instant::now();
-            let _ = http::write_response(
-                &mut stream,
-                status,
-                reason,
-                "application/json",
-                &[],
-                body.as_bytes(),
-            );
-            obs.phase("write", wt.elapsed());
-            obs.finish(ctx, "bad-request", status, body.len());
+            respond_error(&mut stream, ctx, obs, e.status(), &[], &e.detail(), outcome);
             return;
         }
     };
     ampsched_obs::counter!("serve.request");
     let route = format!("{} {}", request.method, request.path);
-    let obs = RequestObs::begin(&route, &request.path, started);
+    let obs = RequestObs::begin(&route, &request.path, accepted, started);
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/run") => handle_run(&mut stream, &request.body, ctx, obs),
         ("GET", "/healthz") => {
@@ -341,22 +494,7 @@ fn handle_connection(mut stream: TcpStream, ctx: &ConnCtx) {
             let body = obs_ring::to_jsonl();
             respond_ok(&mut stream, ctx, obs, "application/x-ndjson", body.as_bytes());
         }
-        ("POST", "/shutdown") => {
-            obs.phase("parse", started.elapsed());
-            ctx.shutdown.store(true, Ordering::SeqCst);
-            let body: &[u8] = b"{\"status\": \"draining\"}\n";
-            let wt = Instant::now();
-            let _ = http::write_response(
-                &mut stream,
-                200,
-                "OK",
-                "application/json",
-                &[],
-                body,
-            );
-            obs.phase("write", wt.elapsed());
-            obs.finish(ctx, "draining", 200, body.len());
-        }
+        ("POST", "/shutdown") => respond_shutdown(&mut stream, ctx, obs),
         (
             _,
             "/run" | "/healthz" | "/metrics" | "/requestz" | "/statusz" | "/debugz/flight"
@@ -367,8 +505,8 @@ fn handle_connection(mut stream: TcpStream, ctx: &ConnCtx) {
                 &mut stream,
                 ctx,
                 obs,
-                405,
-                "Method Not Allowed",
+                (405, "Method Not Allowed"),
+                &[],
                 "method not allowed for this route",
                 "bad-request",
             );
@@ -379,8 +517,8 @@ fn handle_connection(mut stream: TcpStream, ctx: &ConnCtx) {
                 &mut stream,
                 ctx,
                 obs,
-                404,
-                "Not Found",
+                (404, "Not Found"),
+                &[],
                 "no such route",
                 "bad-request",
             );
@@ -402,13 +540,31 @@ fn respond_ok(
     obs.finish(ctx, "ok", 200, body.len());
 }
 
-/// Write a JSON error response and seal the request.
+/// Answer `POST /shutdown`: set the shutdown flag, which the watcher
+/// wakes the acceptor on, and say the daemon is draining. Closes like
+/// [`respond_error`], since the acceptor answers it from the request
+/// line alone when the daemon is full.
+fn respond_shutdown(stream: &mut TcpStream, ctx: &ConnCtx, obs: RequestObs) {
+    obs.phase("parse", obs.started.elapsed());
+    ctx.shutdown.store(true, Ordering::SeqCst);
+    let body: &[u8] = b"{\"status\": \"draining\"}\n";
+    let wt = Instant::now();
+    let _ = http::write_response(stream, 200, "OK", "application/json", &[], body);
+    obs.phase("write", wt.elapsed());
+    obs.finish(ctx, "draining", 200, body.len());
+    read_arrived(stream);
+}
+
+/// Write a JSON error response, seal the request, and take the request
+/// bytes already sent off the socket so that dropping it closes cleanly
+/// ([`read_arrived`]): the client may still be sending when the error
+/// is decided (a trickled head, an oversized body).
 fn respond_error(
     stream: &mut TcpStream,
     ctx: &ConnCtx,
     obs: RequestObs,
-    status: u16,
-    reason: &str,
+    (status, reason): (u16, &str),
+    headers: &[(&str, &str)],
     message: &str,
     outcome: &str,
 ) {
@@ -419,28 +575,29 @@ fn respond_error(
         status,
         reason,
         "application/json",
-        &[],
+        headers,
         body.as_bytes(),
     );
     obs.phase("write", wt.elapsed());
     obs.finish(ctx, outcome, status, body.len());
+    read_arrived(stream);
 }
 
 /// The `/run` path: validate, claim the cache cell, compute or wait,
 /// answer. The `X-Cache` header says which way the request went.
 ///
 /// Phase timeline by path (visible in `/requestz` and the access log):
-/// hit/disk-hit → `parse, cache-claim, write`; miss →
-/// `parse, cache-claim, queue-wait, sim, serialize, write` (the middle
-/// three recorded by the worker against this request's id); coalesced →
-/// `parse, cache-claim, wait, write`.
+/// hit/disk-hit → `accept, parse, cache-claim, write`; miss →
+/// `accept, parse, cache-claim, queue-wait, sim, serialize, write` (the
+/// middle three recorded by the worker against this request's id);
+/// coalesced → `accept, parse, cache-claim, wait, write`.
 fn handle_run(stream: &mut TcpStream, body: &[u8], ctx: &ConnCtx, obs: RequestObs) {
     let spec = match protocol::parse_request(body, &ctx.base) {
         Ok(spec) => spec,
         Err(msg) => {
             ampsched_obs::counter!("serve.error.bad_request");
             obs.phase("parse", obs.started.elapsed());
-            respond_error(stream, ctx, obs, 400, "Bad Request", &msg, "bad-request");
+            respond_error(stream, ctx, obs, (400, "Bad Request"), &[], &msg, "bad-request");
             return;
         }
     };
@@ -469,8 +626,8 @@ fn handle_run(stream: &mut TcpStream, body: &[u8], ctx: &ConnCtx, obs: RequestOb
                     stream,
                     ctx,
                     obs,
-                    503,
-                    "Service Unavailable",
+                    (503, "Service Unavailable"),
+                    &[],
                     "server is draining",
                     "draining",
                 );
@@ -508,7 +665,7 @@ fn handle_run(stream: &mut TcpStream, body: &[u8], ctx: &ConnCtx, obs: RequestOb
             outcome
         }
     };
-    let latency_us = obs.started.elapsed().as_micros() as u64;
+    let latency_us = obs.accepted.elapsed().as_micros() as u64;
     ampsched_obs::hist!("serve.latency_us", latency_us);
     match outcome {
         WaitOutcome::Ready(bytes) => {
@@ -526,36 +683,30 @@ fn handle_run(stream: &mut TcpStream, body: &[u8], ctx: &ConnCtx, obs: RequestOb
         }
         WaitOutcome::Failed(msg) => {
             ampsched_obs::counter!("serve.error.failed");
-            let body = error_body(&msg);
-            let wt = Instant::now();
-            let _ = http::write_response(
+            respond_error(
                 stream,
-                500,
-                "Internal Server Error",
-                "application/json",
+                ctx,
+                obs,
+                (500, "Internal Server Error"),
                 &[("X-Cache", cache_state)],
-                body.as_bytes(),
+                &msg,
+                "failed",
             );
-            obs.phase("write", wt.elapsed());
-            obs.finish(ctx, "failed", 500, body.len());
         }
         WaitOutcome::TimedOut => {
             ampsched_obs::counter!("serve.error.timeout");
             // Deadline expiry is a "what was going on?" moment: dump the
             // flight recorder (no-op without --flight-recorder).
             obs_ring::dump_now("request deadline expired (504)");
-            let body = error_body("deadline elapsed; the job continues and will be cached");
-            let wt = Instant::now();
-            let _ = http::write_response(
+            respond_error(
                 stream,
-                504,
-                "Gateway Timeout",
-                "application/json",
+                ctx,
+                obs,
+                (504, "Gateway Timeout"),
                 &[("X-Cache", cache_state)],
-                body.as_bytes(),
+                "deadline elapsed; the job continues and will be cached",
+                "timeout",
             );
-            obs.phase("write", wt.elapsed());
-            obs.finish(ctx, "timeout", 504, body.len());
         }
     }
 }

@@ -8,7 +8,7 @@
 //! ```json
 //! {"id":"r-00000000","route":"POST /run","outcome":"miss","status":200,
 //!  "cache_key":"91cb3...","bytes":4096,"total_us":1234,
-//!  "phases":[{"name":"parse","us":10}, ...]}
+//!  "phases":[{"name":"accept","us":40},{"name":"parse","us":10}, ...]}
 //! ```
 //!
 //! The single-line guarantee is the same one `--telemetry` gives: the

@@ -18,6 +18,8 @@ const OUTCOMES: &[&str] = &[
     "failed",
     "bad-request",
     "draining",
+    "read-timeout",
+    "over-capacity",
     "ok",
 ];
 
@@ -34,6 +36,7 @@ const ROUTES: &[&str] = &[
 ];
 
 const PHASE_NAMES: &[&str] = &[
+    "accept",
     "parse",
     "cache-claim",
     "queue-wait",
@@ -47,7 +50,7 @@ fn draw_record(s: &mut Source) -> RequestRecord {
     let id = format!("r-{:08}", s.u64_in(0, 100_000_000));
     let route = (*s.choice(ROUTES)).to_string();
     let outcome = (*s.choice(OUTCOMES)).to_string();
-    let phases = (0..s.usize_in(0, 7))
+    let phases = (0..s.usize_in(0, PHASE_NAMES.len() + 1))
         .map(|_| (*s.choice(PHASE_NAMES), s.u64_in(0, 10_000_000)))
         .collect();
     // Meta is whatever subset the request got far enough to record.

@@ -161,7 +161,7 @@ fn obs_is_read_only_and_requestz_breaks_down_phases() {
     assert_eq!(miss.get("route").and_then(Json::as_str), Some("POST /run"));
     assert_eq!(
         phase_names(miss),
-        ["parse", "cache-claim", "queue-wait", "sim", "serialize", "write"],
+        ["accept", "parse", "cache-claim", "queue-wait", "sim", "serialize", "write"],
         "a miss must break down the whole pipeline"
     );
     assert_eq!(miss.get("status").and_then(Json::as_u64), Some(200));
@@ -173,7 +173,7 @@ fn obs_is_read_only_and_requestz_breaks_down_phases() {
     assert_eq!(key.len(), 16, "cache key is 16 hex chars: {key}");
     let hit = find("r-00000001");
     assert_eq!(hit.get("outcome").and_then(Json::as_str), Some("hit"));
-    assert_eq!(phase_names(hit), ["parse", "cache-claim", "write"]);
+    assert_eq!(phase_names(hit), ["accept", "parse", "cache-claim", "write"]);
 
     // /statusz: the probe itself is in flight when the snapshot is cut.
     let (sz_status, _, sz_body) =
