@@ -5,6 +5,9 @@
 //! every request once against a cold cache cell ("cold": the job
 //! actually runs), then `repeat` more times ("warm": answered from the
 //! cache), and reports per-request mean latency plus warm throughput.
+//! A first answer whose `X-Cache` is not `miss` (the daemon already had
+//! the cell) is no cold sample: that lane shows `—` for cold and
+//! speedup, and the artifact has no `serve/cold/` entry for it.
 //! Cold-vs-warm is the service's value proposition made measurable: the
 //! warm mean should sit orders of magnitude under the cold mean.
 //!
@@ -50,11 +53,12 @@ pub fn default_corpus() -> Vec<String> {
 }
 
 /// One measured request stream: the request body and its cold/warm
-/// latencies in nanoseconds.
+/// latencies in nanoseconds. `cold_ns` is `None` when the first answer
+/// was not a cache miss.
 struct Lane {
     name: String,
     body: String,
-    cold_ns: u64,
+    cold_ns: Option<u64>,
     warm_ns: Vec<u64>,
 }
 
@@ -105,16 +109,18 @@ fn sample_quantiles(samples: &[u64]) -> (u64, u64, u64) {
     (rank(0.50), rank(0.95), rank(0.99))
 }
 
-/// Send one `/run` and return its latency, insisting on a 200.
-fn timed_run(addr: &str, body: &str) -> Result<u64, String> {
+/// Send one `/run` and return its latency and whether the answer was a
+/// cache miss (`X-Cache: miss`), insisting on a 200.
+fn timed_run(addr: &str, body: &str) -> Result<(u64, bool), String> {
     let start = Instant::now();
-    let (status, _headers, resp) = http::request(addr, "POST", "/run", body.as_bytes())?;
+    let (status, headers, resp) = http::request(addr, "POST", "/run", body.as_bytes())?;
     let ns = start.elapsed().as_nanos() as u64;
     if status != 200 {
         let detail = String::from_utf8_lossy(&resp);
         return Err(format!("server answered {status}: {}", detail.trim()));
     }
-    Ok(ns)
+    let miss = headers.iter().any(|(n, v)| n == "x-cache" && v == "miss");
+    Ok((ns, miss))
 }
 
 /// Run the bench: cold pass, warm passes, table on stderr, optional
@@ -133,18 +139,19 @@ pub fn run(config: &BenchConfig) -> Result<(), String> {
     let mut lanes: Vec<Lane> = Vec::with_capacity(corpus.len());
     for (i, body) in corpus.iter().enumerate() {
         let name = lane_name(body, i);
-        let cold_ns = timed_run(&config.addr, body).map_err(|e| format!("{name} (cold): {e}"))?;
+        let (ns, miss) =
+            timed_run(&config.addr, body).map_err(|e| format!("{name} (cold): {e}"))?;
         lanes.push(Lane {
             name,
             body: body.clone(),
-            cold_ns,
+            cold_ns: miss.then_some(ns),
             warm_ns: Vec::with_capacity(repeat),
         });
     }
     let warm_started = Instant::now();
     for _ in 0..repeat {
         for lane in &mut lanes {
-            let ns = timed_run(&config.addr, &lane.body)
+            let (ns, _) = timed_run(&config.addr, &lane.body)
                 .map_err(|e| format!("{} (warm): {e}", lane.name))?;
             lane.warm_ns.push(ns);
         }
@@ -159,11 +166,14 @@ pub fn run(config: &BenchConfig) -> Result<(), String> {
     for lane in &lanes {
         let warm_mean = lane.warm_ns.iter().sum::<u64>() / lane.warm_ns.len() as u64;
         let (p50, _p95, p99) = sample_quantiles(&lane.warm_ns);
-        let speedup = lane.cold_ns as f64 / warm_mean.max(1) as f64;
+        let (cold, speedup) = match lane.cold_ns {
+            Some(ns) => (format_ns(ns), format!("{:.1}x", ns as f64 / warm_mean.max(1) as f64)),
+            None => ("—".to_string(), "—".to_string()),
+        };
         eprintln!(
-            "{:<24} {:>14} {:>14} {:>10} {:>10} {:>8.1}x",
+            "{:<24} {:>14} {:>14} {:>10} {:>10} {:>9}",
             lane.name,
-            format_ns(lane.cold_ns),
+            cold,
             format_ns(warm_mean),
             format_ns(p50),
             format_ns(p99),
@@ -186,15 +196,18 @@ pub fn run(config: &BenchConfig) -> Result<(), String> {
 
 /// Render the bench-schema artifact for the measured lanes. Warm
 /// entries carry the quantile fields; cold entries are single samples,
-/// so quantiles would be noise.
+/// so quantiles would be noise, and a lane without a cold sample has
+/// none.
 fn artifact(lanes: &[Lane]) -> Json {
     let mut benchmarks = Vec::new();
     for lane in lanes {
-        benchmarks.push(Json::obj([
-            ("name", Json::from(format!("serve/cold/{}", lane.name))),
-            ("samples", Json::from(1u64)),
-            ("mean_ns", Json::from(lane.cold_ns)),
-        ]));
+        if let Some(cold_ns) = lane.cold_ns {
+            benchmarks.push(Json::obj([
+                ("name", Json::from(format!("serve/cold/{}", lane.name))),
+                ("samples", Json::from(1u64)),
+                ("mean_ns", Json::from(cold_ns)),
+            ]));
+        }
         let warm_mean = lane.warm_ns.iter().sum::<u64>() / lane.warm_ns.len() as u64;
         let (p50, p95, p99) = sample_quantiles(&lane.warm_ns);
         benchmarks.push(Json::obj([
@@ -266,7 +279,7 @@ mod tests {
         let lanes = vec![Lane {
             name: "req0:fig1".to_string(),
             body: String::new(),
-            cold_ns: 5_000_000,
+            cold_ns: Some(5_000_000),
             warm_ns: vec![10_000, 12_000, 15_000],
         }];
         let doc = artifact(&lanes);
@@ -286,6 +299,36 @@ mod tests {
         assert_eq!(field("p50_ns"), Some(12_000));
         assert_eq!(field("p95_ns"), Some(15_000));
         assert_eq!(field("p99_ns"), Some(15_000));
+    }
+
+    #[test]
+    fn artifact_omits_the_cold_entry_of_a_lane_that_was_already_warm() {
+        let lanes = vec![
+            Lane {
+                name: "req0:fig1".to_string(),
+                body: String::new(),
+                cold_ns: None,
+                warm_ns: vec![10_000, 12_000],
+            },
+            Lane {
+                name: "req1:scaling".to_string(),
+                body: String::new(),
+                cold_ns: Some(7_000_000),
+                warm_ns: vec![9_000],
+            },
+        ];
+        let doc = artifact(&lanes);
+        let names: Vec<&str> = doc
+            .get("benchmarks")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter_map(|b| b.get("name").and_then(Json::as_str))
+            .collect();
+        assert_eq!(
+            names,
+            ["serve/warm/req0:fig1", "serve/cold/req1:scaling", "serve/warm/req1:scaling"]
+        );
     }
 
     #[test]

@@ -17,20 +17,31 @@
 //!   (a computation in flight) are never evicted — evicting one would
 //!   strand its waiters.
 //! - **Optional persistence.** With a cache directory configured, ready
-//!   cells are spilled to `<dir>/<hash>.cell` (header + CRC-32 over the
-//!   payload, written to a temp file and atomically renamed). A cold
-//!   process re-serves earlier results from disk; a corrupt or
-//!   truncated cell is deleted and recomputed, never served.
+//!   cells are spilled to `<dir>/<hash>.cell` in the [`FORMAT`] below,
+//!   written atomically by [`ampsched_util::cellfile`]. A cold process
+//!   re-serves earlier results from disk; a corrupt, truncated, stale
+//!   (older format) or misnamed cell is deleted and recomputed, never
+//!   served.
 
-use ampsched_util::hash::crc32;
+use ampsched_util::cellfile::{self, Format, Record};
 use std::collections::HashMap;
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// Magic bytes prefixing every on-disk cell file.
-const CELL_MAGIC: &[u8; 8] = b"AMPCELL\x01";
+/// The on-disk cell format: one record holding the rendered report,
+/// echoing the cell's `u64` key. Version 2: earlier builds wrote
+/// `AMPCELL\x01` cells with no key echo, which fail the magic check.
+pub const FORMAT: Format = Format {
+    magic: *b"AMPCELL\0",
+    version: 2,
+    ext: "cell",
+    key_of: |path| {
+        let stem = path.file_stem()?.to_str()?;
+        u64::from_str_radix(stem, 16).ok().map(|k| k.to_le_bytes().to_vec())
+    },
+    check: |_| Ok(()),
+};
 
 /// A computed result: the rendered report bytes, shared between the
 /// cache, in-flight waiters, and response writers without copying.
@@ -164,7 +175,7 @@ impl ResultCache {
         // Miss in memory: try disk before claiming ownership, still
         // under the lock so two threads cannot both load + insert.
         if let Some(dir) = &self.dir {
-            if let Some(bytes) = read_cell(&cell_path(dir, key)) {
+            if let Some(bytes) = read_cell(dir, key) {
                 let bytes = Arc::new(bytes);
                 inner.cells.insert(
                     key,
@@ -238,25 +249,16 @@ impl ResultCache {
         }
         let entries = inner.cells.len();
         drop(inner);
-        let mut disk_cells = 0usize;
-        let mut disk_bytes = 0u64;
-        if let Some(dir) = &self.dir {
-            if let Ok(rd) = std::fs::read_dir(dir) {
-                for entry in rd.flatten() {
-                    let path = entry.path();
-                    if path.extension().is_some_and(|x| x == "cell") {
-                        disk_cells += 1;
-                        disk_bytes += entry.metadata().map(|m| m.len()).unwrap_or(0);
-                    }
-                }
-            }
-        }
+        let disk = match &self.dir {
+            Some(dir) => cellfile::list(dir, &[FORMAT.ext]),
+            None => Vec::new(),
+        };
         CacheStats {
             entries,
             pending,
             bytes,
-            disk_cells,
-            disk_bytes,
+            disk_cells: disk.len(),
+            disk_bytes: disk.iter().map(|(_, len)| len).sum(),
         }
     }
 
@@ -309,53 +311,27 @@ pub fn cell_path(dir: &Path, key: u64) -> PathBuf {
     dir.join(format!("{key:016x}.cell"))
 }
 
-/// Serialize and atomically persist one cell:
-/// `magic(8) | len(8 LE) | crc32(4 LE) | payload`.
+/// Atomically persist one cell.
 fn write_cell(dir: &Path, key: u64, bytes: &[u8]) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let tmp = dir.join(format!("{key:016x}.tmp"));
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(CELL_MAGIC)?;
-    f.write_all(&(bytes.len() as u64).to_le_bytes())?;
-    f.write_all(&crc32(bytes).to_le_bytes())?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    drop(f);
-    std::fs::rename(&tmp, cell_path(dir, key))
+    let record = Record { count: 1, payload: bytes };
+    cellfile::write(&cell_path(dir, key), &FORMAT, &key.to_le_bytes(), &[record])
 }
 
-/// Load and validate one cell; on any mismatch (bad magic, truncation,
-/// CRC failure) the file is deleted and `None` returned so the result
-/// is recomputed rather than served corrupt.
-fn read_cell(path: &Path) -> Option<Vec<u8>> {
-    let mut f = std::fs::File::open(path).ok()?;
-    let parsed = (|| {
-        let mut header = [0u8; 20];
-        f.read_exact(&mut header).ok()?;
-        if &header[..8] != CELL_MAGIC {
-            return None;
-        }
-        let len = u64::from_le_bytes(header[8..16].try_into().unwrap());
-        let want_crc = u32::from_le_bytes(header[16..20].try_into().unwrap());
-        if len > 64 * 1024 * 1024 {
-            return None; // implausible: treat as corruption
-        }
-        let mut payload = vec![0u8; len as usize];
-        f.read_exact(&mut payload).ok()?;
-        // Trailing garbage after the payload is also corruption.
-        let mut extra = [0u8; 1];
-        if f.read(&mut extra).ok()? != 0 {
-            return None;
-        }
-        if crc32(&payload) != want_crc {
-            return None;
-        }
-        Some(payload)
-    })();
-    if parsed.is_none() {
-        let _ = std::fs::remove_file(path);
+/// Load and validate the cell for `key`; on any failure (wrong format
+/// or version, key echo, truncation, CRC) the file is deleted and `None`
+/// returned so the result is recomputed rather than served wrong.
+fn read_cell(dir: &Path, key: u64) -> Option<Vec<u8>> {
+    let path = cell_path(dir, key);
+    if !path.exists() {
+        return None;
     }
-    parsed
+    match cellfile::load(&path, &FORMAT, &key.to_le_bytes()) {
+        Ok(mut records) if records.len() == 1 => records.pop(),
+        _ => {
+            let _ = std::fs::remove_file(&path);
+            None
+        }
+    }
 }
 
 #[cfg(test)]
@@ -518,8 +494,9 @@ mod tests {
         assert_eq!(s.pending, 1, "key 22 is still in flight");
         assert_eq!(s.bytes, 100, "only ready cells hold payload bytes");
         assert_eq!(s.disk_cells, 1, "ready cell spilled to disk");
-        // On-disk cell = 20-byte header + payload.
-        assert_eq!(s.disk_bytes, 120);
+        // On-disk cell = header with the 8-byte key echo, one record.
+        let cell_len = cellfile::header_len(8) + cellfile::RECORD_HEADER_LEN + 100;
+        assert_eq!(s.disk_bytes, cell_len as u64);
         cache.fail(22, "abandoned by test".into());
         let _ = std::fs::remove_dir_all(&dir);
 

@@ -1,11 +1,19 @@
 //! The `ampsched trace-cache` subcommand: inspect, verify, and collect
-//! the persistent on-disk trace-arena cache (`--trace-cache <dir>`,
-//! format in `ampsched-trace`'s `persist` module and DESIGN.md §10).
+//! a cache directory — the trace arena's `.atc` chunk files
+//! (`--trace-cache <dir>`, `ampsched-trace`'s `persist` module) and the
+//! serve daemon's `.cell` result files (`serve --cache-dir <dir>`),
+//! both in the `ampsched_util::cellfile` format (DESIGN.md §10).
 
 use std::path::Path;
 
 use ampsched_trace::persist;
+use ampsched_util::cellfile::{self, FileReport, Format};
 use ampsched_util::Json;
+
+use crate::serve::cache;
+
+/// Every cell kind a cache directory can hold.
+const FORMATS: [&Format; 2] = [&persist::FORMAT, &cache::FORMAT];
 
 /// One `trace-cache` action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,21 +52,27 @@ pub struct Outcome {
 
 /// Execute a cache maintenance action against `dir`.
 pub fn run(action: Action, dir: &Path) -> Outcome {
-    let reports = persist::scan(dir);
-    let valid: Vec<_> = reports.iter().filter(|r| r.is_valid()).collect();
+    let reports = cellfile::scan(dir, &FORMATS);
+    let is_cell = |r: &FileReport| r.path.extension().is_some_and(|x| x == cache::FORMAT.ext);
+    let (cells, valid): (Vec<&FileReport>, Vec<&FileReport>) =
+        reports.iter().filter(|r| r.is_valid()).partition(|r| is_cell(r));
     let invalid: Vec<_> = reports.iter().filter(|r| !r.is_valid()).collect();
     let total_bytes: u64 = valid.iter().map(|r| r.bytes).sum();
-    let total_chunks: usize = valid.iter().map(|r| r.chunks).sum();
-    let total_ops: u64 = valid.iter().map(|r| r.ops()).sum();
+    let total_chunks: usize = valid.iter().map(|r| r.records).sum();
+    let total_ops: u64 = valid.iter().map(|r| r.count).sum();
+    let cell_bytes: u64 = cells.iter().map(|r| r.bytes).sum();
+    let mib = |bytes: u64| bytes as f64 / (1 << 20) as f64;
 
     let mut out = String::new();
     out.push_str(&format!(
-        "trace cache at {} — {} file(s), {} chunk(s), {} ops, {:.2} MiB\n",
+        "trace cache at {} — {} file(s), {} chunk(s), {} ops, {:.2} MiB; {} serve cell(s), {:.2} MiB\n",
         dir.display(),
         valid.len(),
         total_chunks,
         total_ops,
-        total_bytes as f64 / (1 << 20) as f64,
+        mib(total_bytes),
+        cells.len(),
+        mib(cell_bytes),
     ));
     let mut json_pairs = vec![
         ("dir".to_string(), Json::from(dir.display().to_string())),
@@ -66,17 +80,20 @@ pub fn run(action: Action, dir: &Path) -> Outcome {
         ("chunks".to_string(), Json::from(total_chunks)),
         ("ops".to_string(), Json::from(total_ops)),
         ("bytes".to_string(), Json::from(total_bytes)),
+        ("cells".to_string(), Json::from(cells.len())),
+        ("cell_bytes".to_string(), Json::from(cell_bytes)),
         ("invalid".to_string(), Json::from(invalid.len())),
     ];
     match action {
         Action::Stats => {
-            for r in &valid {
-                out.push_str(&format!(
-                    "  {:<56} {:>6} chunks {:>10} ops\n",
-                    r.path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default(),
-                    r.chunks,
-                    r.ops(),
-                ));
+            for r in valid.iter().chain(&cells) {
+                let name = r.path.file_name().map(|n| n.to_string_lossy().into_owned());
+                let name = name.unwrap_or_default();
+                out.push_str(&if is_cell(r) {
+                    format!("  {name:<56} serve cell {:>10} bytes\n", r.bytes)
+                } else {
+                    format!("  {name:<56} {:>6} chunks {:>10} ops\n", r.records, r.count)
+                });
             }
             if !invalid.is_empty() {
                 out.push_str(&format!(
@@ -94,12 +111,12 @@ pub fn run(action: Action, dir: &Path) -> Outcome {
             }
             out.push_str(&format!(
                 "verify: {} ok, {} invalid\n",
-                valid.len(),
+                valid.len() + cells.len(),
                 invalid.len()
             ));
         }
         Action::Gc => {
-            let (removed, reclaimed) = persist::gc(dir);
+            let (removed, reclaimed) = cellfile::gc(dir, &FORMATS);
             out.push_str(&format!(
                 "gc: removed {removed} invalid file(s), reclaimed {reclaimed} bytes\n"
             ));
@@ -162,6 +179,36 @@ mod tests {
 
         let after = run(Action::Verify, &dir);
         assert!(after.healthy, "cache is healthy after gc: {}", after.rendered);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn serve_cells_are_walked_by_the_same_scan() {
+        use crate::serve::cache::{cell_path, Claim, ResultCache};
+        let dir = std::env::temp_dir().join(format!("ampsched-tc-cells-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cells = ResultCache::new(4, Some(dir.clone()));
+        assert!(matches!(cells.claim(0x51), Claim::Owner));
+        cells.fulfill(0x51, std::sync::Arc::new(b"report".to_vec()));
+        // A cell from an earlier build: `AMPCELL\x01` magic, no version.
+        std::fs::write(cell_path(&dir, 0x52), b"AMPCELL\x01 and an older build's report").unwrap();
+
+        let stats = run(Action::Stats, &dir);
+        let field = |o: &Outcome, k: &str| o.json.get(k).and_then(Json::as_u64);
+        assert_eq!(field(&stats, "cells"), Some(1), "{}", stats.rendered);
+        assert_eq!(field(&stats, "files"), Some(0), "a cell is not a trace file");
+        assert_eq!(field(&stats, "invalid"), Some(1));
+        assert!(stats.rendered.contains("serve cell"), "{}", stats.rendered);
+
+        let verify = run(Action::Verify, &dir);
+        assert!(!verify.healthy);
+        assert!(verify.rendered.contains("0000000000000052.cell — bad magic"), "{}", verify.rendered);
+
+        let gc = run(Action::Gc, &dir);
+        assert_eq!(field(&gc, "removed"), Some(1));
+        let after = run(Action::Verify, &dir);
+        assert!(after.healthy, "{}", after.rendered);
+        assert!(after.rendered.contains("verify: 1 ok, 0 invalid"), "{}", after.rendered);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -10,9 +10,10 @@
 //!    visible in `/metrics`.
 
 use ampsched_experiments::common::Params;
-use ampsched_experiments::serve::{http, Server, ServeConfig};
+use ampsched_experiments::serve::{cache, http, protocol, Server, ServeConfig};
 use ampsched_obs::metrics;
-use ampsched_util::Json;
+use ampsched_util::hash::crc32;
+use ampsched_util::{cellfile, Json};
 use std::time::Duration;
 
 /// The pinned `golden_compat` fig1 cell, as a serve request. Matches
@@ -22,6 +23,13 @@ const FIG1_BODY: &str = r#"{"experiment":"fig1","params":{"scale":"quick","pairs
 
 /// The same cell with every JSON member in a different order.
 const FIG1_BODY_REORDERED: &str = r#"{"params":{"profile_insts":200000,"insts":20000,"pairs":2,"scale":"quick"},"experiment":"fig1"}"#;
+
+/// The pinned `golden_compat` morphing cell, as a serve request.
+const MORPHING_BODY: &str = r#"{"experiment":"morphing","params":{"scale":"quick","pairs":2,"insts":20000,"profile_insts":200000}}"#;
+
+/// Held by every test here that runs simulation jobs: the job and
+/// cache counters are process-global, and one test asserts exact deltas.
+static JOBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Start a server on an ephemeral port with `base` defaults; returns
 /// its address and a guard that shuts it down on drop.
@@ -65,6 +73,7 @@ fn counter_value(name: &str) -> u64 {
 
 #[test]
 fn served_response_is_byte_identical_to_the_cli_golden_and_cached() {
+    let _jobs = JOBS.lock().unwrap_or_else(|e| e.into_inner());
     let config = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
@@ -204,4 +213,83 @@ fn error_paths_and_shutdown() {
     };
     assert!(joined, "server must drain and stop after POST /shutdown");
     handle.join().expect("server thread exits cleanly");
+}
+
+/// The committed `golden_compat` report for `name`.
+fn golden(name: &str) -> Vec<u8> {
+    let path = format!("{}/tests/golden/compat/{name}.json", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
+}
+
+/// POST `body` to `/run`, insisting on a 200; returns the `X-Cache`
+/// header and the response bytes.
+fn run_cell(addr: &str, body: &str) -> (String, Vec<u8>) {
+    let (status, headers, bytes) =
+        http::request(addr, "POST", "/run", body.as_bytes()).expect("run request");
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&bytes));
+    let x_cache = headers.iter().find(|(n, _)| n == "x-cache").map(|(_, v)| v.clone());
+    (x_cache.expect("X-Cache header"), bytes)
+}
+
+/// The cache key a daemon with default parameters derives for `body`.
+fn cell_key(body: &str) -> u64 {
+    let spec = protocol::parse_request(body.as_bytes(), &Params::default()).expect("valid request");
+    protocol::canonical_hash(&spec)
+}
+
+#[test]
+fn disk_cells_survive_a_restart_and_stale_or_misnamed_cells_are_recomputed() {
+    let _jobs = JOBS.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("ampsched-serve-disk-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        cache_entries: 16,
+        base: Params::default(),
+        cache_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let (fig1_key, morphing_key) = (cell_key(FIG1_BODY), cell_key(MORPHING_BODY));
+    let fig1_path = cache::cell_path(&dir, fig1_key);
+    let morphing_path = cache::cell_path(&dir, morphing_key);
+
+    // Daemon A computes the fig1 cell and spills it before shutting down.
+    {
+        let (addr, _guard) = start_server(config());
+        assert_eq!(run_cell(&addr, FIG1_BODY), ("miss".to_string(), golden("fig1")));
+    }
+    assert!(fig1_path.exists(), "daemon A must leave its cell on disk");
+
+    // Daemon B, same directory: answered from disk, byte-identical.
+    {
+        let (addr, _guard) = start_server(config());
+        assert_eq!(run_cell(&addr, FIG1_BODY), ("disk-hit".to_string(), golden("fig1")));
+    }
+
+    // Plant a valid fig1 cell under morphing's name (key-echo mismatch)
+    // and replace the fig1 cell with the earlier `AMPCELL\x01` format:
+    // magic | len u64 | crc32 | payload, holding the right bytes.
+    std::fs::copy(&fig1_path, &morphing_path).expect("plant misnamed cell");
+    let fig1 = golden("fig1");
+    let mut old_format = b"AMPCELL\x01".to_vec();
+    old_format.extend_from_slice(&(fig1.len() as u64).to_le_bytes());
+    old_format.extend_from_slice(&crc32(&fig1).to_le_bytes());
+    old_format.extend_from_slice(&fig1);
+    std::fs::write(&fig1_path, &old_format).expect("plant old-format cell");
+
+    // Daemon C serves neither: both are misses, recomputed to their goldens.
+    {
+        let (addr, _guard) = start_server(config());
+        assert_eq!(run_cell(&addr, FIG1_BODY), ("miss".to_string(), golden("fig1")));
+        assert_eq!(run_cell(&addr, MORPHING_BODY), ("miss".to_string(), golden("morphing")));
+    }
+
+    // Both files were replaced by current-format cells echoing their keys.
+    for (path, key, name) in [(&fig1_path, fig1_key, "fig1"), (&morphing_path, morphing_key, "morphing")] {
+        let payloads = cellfile::load(path, &cache::FORMAT, &key.to_le_bytes())
+            .unwrap_or_else(|e| panic!("{name} cell not replaced: {e}"));
+        assert_eq!(payloads, vec![golden(name)], "{name} cell holds its own report");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,7 +11,7 @@
 //! ## Encoding
 //!
 //! Ops are packed into ~6–9 bytes each (vs 48 bytes as an in-memory
-//! [`MicroOp`], 21 bytes in the [`crate::record`] blob format):
+//! [`MicroOp`]):
 //!
 //! ```text
 //! header   1 byte   op-class index (low 4 bits) | predicted-correctly (bit 4)
@@ -36,8 +36,8 @@
 //! **extended on demand**: a consumer that reads past the materialized
 //! prefix advances the entry's embedded generator by exactly one chunk,
 //! so replay is bit-identical for *any* consumption length (a cyclic
-//! replay of a fixed prefix, like [`crate::record::RecordedTrace`], would
-//! diverge from a live generator once the run outlived the recording).
+//! replay of a fixed prefix would diverge from a live generator once the
+//! run outlived the recording).
 //! The store is a `Mutex<HashMap>` behind a `OnceLock`; entries are
 //! `Arc`-shared, and when the packed total exceeds the byte budget the
 //! least-recently-acquired entries *not currently held by a reader* are
@@ -76,7 +76,6 @@ use ampsched_isa::{ArchReg, MicroOp};
 use crate::benchmark::BenchmarkSpec;
 use crate::generator::TraceGenerator;
 use crate::persist;
-use crate::record::encode_reg;
 use crate::timing;
 use crate::workload::Workload;
 
@@ -177,9 +176,18 @@ const MEM_MASK: u16 = {
     m
 };
 
-/// Branch-free register decode: `REG_LUT[b]` is `decode_reg(b)` from the
-/// record module, precomputed so the decoder's three per-op register
-/// reads are table lookups instead of data-dependent branches.
+/// One register byte: `0xFF` for none, bit 7 set for the FP file.
+fn encode_reg(r: Option<ArchReg>) -> u8 {
+    match r {
+        None => 0xFF,
+        Some(ArchReg::Int(n)) => n,
+        Some(ArchReg::Fp(n)) => 0x80 | n,
+    }
+}
+
+/// Branch-free register decode, the inverse of [`encode_reg`],
+/// precomputed so the decoder's three per-op register reads are table
+/// lookups instead of data-dependent branches.
 static REG_LUT: [Option<ArchReg>; 256] = {
     let mut t = [None; 256];
     let mut b = 0usize;
@@ -1009,7 +1017,7 @@ mod tests {
         let files = crate::persist::scan(&dir);
         assert_eq!(files.len(), 1, "one cache file per stream");
         assert!(files[0].is_valid());
-        assert_eq!(files[0].chunks, 3, "flush persists every materialized chunk");
+        assert_eq!(files[0].records, 3, "flush persists every materialized chunk");
 
         // Warm pass: the entry must adopt the persisted prefix (no
         // generator work for it) and replay bit-identically, including

@@ -46,7 +46,6 @@ pub mod benchmark;
 pub mod generator;
 pub mod persist;
 pub mod phase;
-pub mod record;
 pub mod suite;
 pub mod timing;
 pub mod workload;
@@ -55,5 +54,4 @@ pub use arena::{ReplaySource, TracePath};
 pub use benchmark::{BenchmarkSpec, Suite};
 pub use generator::TraceGenerator;
 pub use phase::PhaseSpec;
-pub use record::RecordedTrace;
 pub use workload::Workload;

@@ -12,25 +12,14 @@
 //!
 //! ## File format
 //!
-//! One file per arena key, little-endian throughout:
-//!
-//! ```text
-//! magic        8 bytes   b"AMPSTRC\0"
-//! version      u32       FORMAT_VERSION (bumped on any generator or
-//!                        encoding change — stale files regenerate)
-//! key          4 × u64   spec fingerprint, seed, addr base, code base
-//! header_crc   u32       CRC-32 of the 44 bytes above
-//! chunk record, repeated until end of file:
-//!   ops        u32       ops in the chunk (always CHUNK_OPS)
-//!   len        u32       payload length in bytes
-//!   crc        u32       CRC-32 of the payload
-//!   payload    len bytes packed ops (arena::encode_stream)
-//! ```
-//!
-//! Files are written to a temporary name in the same directory and
-//! atomically renamed into place, so a crash mid-write never leaves a
-//! half-written file under the final name (a leftover `*.tmp` is swept
-//! by [`gc`]).
+//! One [`ampsched_util::cellfile`] file per arena key, named by
+//! `chunk_file_path`, in the [`FORMAT`] below: magic `b"AMPSTRC\0"`,
+//! version 1, the key echoed as four little-endian `u64`s (spec
+//! fingerprint, seed, addr base, code base; the header CRC sits at
+//! bytes 44..48), then one record per chunk with `count = CHUNK_OPS`
+//! and the packed ops (`arena::encode_stream`) as payload. `cellfile`
+//! owns the layout, the atomic write and the validation; this module
+//! adds the key ↔ file-name mapping and the chunk check.
 //!
 //! ## Corruption policy
 //!
@@ -46,23 +35,20 @@
 
 use std::path::{Path, PathBuf};
 
-use ampsched_util::hash::{crc32, Crc32};
+use ampsched_util::cellfile::{self, FileReport, Format, Record};
 
 use crate::arena::{decode_stream, Key, CHUNK_OPS};
 
-/// Magic bytes opening every cache file.
-pub const MAGIC: [u8; 8] = *b"AMPSTRC\0";
-
-/// On-disk format version. Bump whenever the packed encoding, the
-/// generator's draw sequence, or this file layout changes; mismatched
-/// files are deleted and regenerated.
-pub const FORMAT_VERSION: u32 = 1;
-
-/// File extension used by arena cache files.
-pub const FILE_EXT: &str = "atc";
-
-const HEADER_LEN: usize = 8 + 4 + 32 + 4;
-const CHUNK_HEADER_LEN: usize = 4 + 4 + 4;
+/// The arena cache file format. Bump `version` whenever the packed
+/// encoding or the generator's draw sequence changes; mismatched files
+/// are deleted and regenerated.
+pub const FORMAT: Format = Format {
+    magic: *b"AMPSTRC\0",
+    version: 1,
+    ext: "atc",
+    key_of: |path| key_from_file_name(path).map(key_bytes),
+    check: check_chunk,
+};
 
 /// The cache file path for one arena key. The benchmark name is a
 /// human-readable prefix only; the full key is spelled in hex so
@@ -73,8 +59,8 @@ pub(crate) fn chunk_file_path(dir: &Path, name: &str, key: Key) -> PathBuf {
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect();
     dir.join(format!(
-        "{san}-{:016x}-{:016x}-{:016x}-{:016x}.{FILE_EXT}",
-        key.0, key.1, key.2, key.3
+        "{san}-{:016x}-{:016x}-{:016x}-{:016x}.{}",
+        key.0, key.1, key.2, key.3, FORMAT.ext
     ))
 }
 
@@ -91,120 +77,34 @@ fn key_from_file_name(path: &Path) -> Option<Key> {
     Some((f(parts[1])?, f(parts[2])?, f(parts[3])?, f(parts[4])?))
 }
 
-fn header_bytes(key: Key) -> Vec<u8> {
-    let mut h = Vec::with_capacity(HEADER_LEN);
-    h.extend_from_slice(&MAGIC);
-    h.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    for part in [key.0, key.1, key.2, key.3] {
-        h.extend_from_slice(&part.to_le_bytes());
-    }
-    let crc = crc32(&h);
-    h.extend_from_slice(&crc.to_le_bytes());
-    h
+/// The key as the file header echoes it: four little-endian `u64`s.
+fn key_bytes(key: Key) -> Vec<u8> {
+    [key.0, key.1, key.2, key.3].iter().flat_map(|k| k.to_le_bytes()).collect()
 }
 
-/// Serialize `payloads` (one packed chunk each) into the full file image.
-fn file_image(key: Key, payloads: &[&[u8]]) -> Vec<u8> {
-    let total: usize = payloads.iter().map(|p| p.len() + CHUNK_HEADER_LEN).sum();
-    let mut out = Vec::with_capacity(HEADER_LEN + total);
-    out.extend_from_slice(&header_bytes(key));
-    for p in payloads {
-        out.extend_from_slice(&(CHUNK_OPS as u32).to_le_bytes());
-        out.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(p).to_le_bytes());
-        out.extend_from_slice(p);
+/// A chunk record holds exactly [`CHUNK_OPS`] ops that decode.
+fn check_chunk(record: &Record<'_>) -> Result<(), String> {
+    if record.count as usize != CHUNK_OPS {
+        return Err(format!("chunk holds {} ops, expected {CHUNK_OPS}", record.count));
     }
-    out
+    decode_stream(record.payload, CHUNK_OPS, &mut Vec::with_capacity(CHUNK_OPS))
+        .ok_or_else(|| "chunk does not decode".to_string())
 }
 
-/// Write a cache file for `key` holding `payloads`, via a temporary file
-/// and an atomic rename. Creates the directory if needed.
+/// Write a cache file for `key` holding `payloads` (one packed chunk
+/// each), atomically. Creates the directory if needed.
 pub(crate) fn save(path: &Path, key: Key, payloads: &[&[u8]]) -> std::io::Result<()> {
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    std::fs::create_dir_all(dir)?;
-    let base = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "chunk".to_string());
-    let tmp = dir.join(format!(".{base}.{}.tmp", std::process::id()));
-    std::fs::write(&tmp, file_image(key, payloads))?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => {
-            ampsched_obs::debug!(
-                "trace.cache",
-                "wrote {}", path.display();
-                chunks = payloads.len().to_string()
-            );
-            Ok(())
-        }
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
-}
-
-fn read_u32(data: &[u8], pos: usize) -> Option<u32> {
-    data.get(pos..pos + 4)
-        .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-}
-
-/// Validate and decode one cache file image into its chunk payloads.
-/// `expect_key` is the key the caller derived independently (`None`
-/// falls back to the key spelled in the file name, for directory scans).
-fn parse_image(data: &[u8], expect_key: Option<Key>) -> Result<Vec<Vec<u8>>, String> {
-    if data.len() < HEADER_LEN {
-        return Err(format!("short header ({} bytes)", data.len()));
-    }
-    if data[..8] != MAGIC {
-        return Err("bad magic".to_string());
-    }
-    let version = read_u32(data, 8).expect("header length checked");
-    if version != FORMAT_VERSION {
-        return Err(format!("format version {version}, expected {FORMAT_VERSION}"));
-    }
-    let mut key_parts = [0u64; 4];
-    for (i, part) in key_parts.iter_mut().enumerate() {
-        let at = 12 + 8 * i;
-        *part = u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"));
-    }
-    let file_key = (key_parts[0], key_parts[1], key_parts[2], key_parts[3]);
-    let mut header_crc = Crc32::new();
-    header_crc.update(&data[..HEADER_LEN - 4]);
-    let want_crc = read_u32(data, HEADER_LEN - 4).expect("header length checked");
-    if header_crc.finish() != want_crc {
-        return Err("header checksum mismatch".to_string());
-    }
-    if let Some(key) = expect_key {
-        if key != file_key {
-            return Err("key mismatch (file renamed or hash collision)".to_string());
-        }
-    }
-    let mut payloads = Vec::new();
-    let mut scratch = Vec::with_capacity(CHUNK_OPS);
-    let mut pos = HEADER_LEN;
-    while pos < data.len() {
-        let ops = read_u32(data, pos).ok_or("truncated chunk header")? as usize;
-        let len = read_u32(data, pos + 4).ok_or("truncated chunk header")? as usize;
-        let crc = read_u32(data, pos + 8).ok_or("truncated chunk header")?;
-        pos += CHUNK_HEADER_LEN;
-        if ops != CHUNK_OPS {
-            return Err(format!("chunk holds {ops} ops, expected {CHUNK_OPS}"));
-        }
-        let payload = data
-            .get(pos..pos + len)
-            .ok_or_else(|| format!("chunk {} truncated", payloads.len()))?;
-        pos += len;
-        if crc32(payload) != crc {
-            return Err(format!("chunk {} checksum mismatch", payloads.len()));
-        }
-        scratch.clear();
-        if decode_stream(payload, CHUNK_OPS, &mut scratch).is_none() {
-            return Err(format!("chunk {} does not decode", payloads.len()));
-        }
-        payloads.push(payload.to_vec());
-    }
-    Ok(payloads)
+    let records: Vec<Record<'_>> = payloads
+        .iter()
+        .map(|p| Record { count: CHUNK_OPS as u32, payload: p })
+        .collect();
+    cellfile::write(path, &FORMAT, &key_bytes(key), &records)?;
+    ampsched_obs::debug!(
+        "trace.cache",
+        "wrote {}", path.display();
+        chunks = payloads.len().to_string()
+    );
+    Ok(())
 }
 
 /// Load and fully validate the cache file at `path` for `key`, returning
@@ -213,8 +113,7 @@ fn parse_image(data: &[u8], expect_key: Option<Key>) -> Result<Vec<Vec<u8>>, Str
 /// undecodable chunk — is an `Err` describing what went wrong; the
 /// caller decides whether to delete and regenerate.
 pub(crate) fn load(path: &Path, key: Key) -> Result<Vec<Vec<u8>>, String> {
-    let data = std::fs::read(path).map_err(|e| format!("unreadable: {e}"))?;
-    let payloads = parse_image(&data, Some(key))?;
+    let payloads = cellfile::load(path, &FORMAT, &key_bytes(key))?;
     ampsched_obs::debug!(
         "trace.cache",
         "loaded {}", path.display();
@@ -223,98 +122,11 @@ pub(crate) fn load(path: &Path, key: Key) -> Result<Vec<Vec<u8>>, String> {
     Ok(payloads)
 }
 
-/// What [`scan`] learned about one cache file.
-#[derive(Debug)]
-pub struct CacheFileReport {
-    /// The file's path.
-    pub path: PathBuf,
-    /// File size in bytes.
-    pub bytes: u64,
-    /// Validated chunk count (0 when invalid).
-    pub chunks: usize,
-    /// `None` when the file is fully valid, else what failed.
-    pub error: Option<String>,
-}
-
-impl CacheFileReport {
-    /// Whether the file passed full validation.
-    pub fn is_valid(&self) -> bool {
-        self.error.is_none()
-    }
-
-    /// Ops stored in the file (valid files only).
-    pub fn ops(&self) -> u64 {
-        (self.chunks * CHUNK_OPS) as u64
-    }
-}
-
-/// Validate every cache file in `dir` (non-recursively): header, key
-/// echo against the file name, per-chunk checksums, and decodability.
-/// Leftover temporary files from interrupted writes are reported as
-/// invalid. Returns reports sorted by path; an unreadable or missing
-/// directory yields an empty list.
-pub fn scan(dir: &Path) -> Vec<CacheFileReport> {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let mut reports = Vec::new();
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if !path.is_file() {
-            continue;
-        }
-        let is_cache = path.extension().and_then(|e| e.to_str()) == Some(FILE_EXT);
-        let is_tmp = path.extension().and_then(|e| e.to_str()) == Some("tmp");
-        if !is_cache && !is_tmp {
-            continue;
-        }
-        let bytes = entry.metadata().map(|m| m.len()).unwrap_or(0);
-        let report = if is_tmp {
-            CacheFileReport {
-                path,
-                bytes,
-                chunks: 0,
-                error: Some("leftover temporary file from an interrupted write".into()),
-            }
-        } else {
-            let key = key_from_file_name(&path);
-            let outcome = match (std::fs::read(&path), key) {
-                (Err(e), _) => Err(format!("unreadable: {e}")),
-                (Ok(data), key) => parse_image(&data, key),
-            };
-            match outcome {
-                Ok(payloads) => CacheFileReport {
-                    path,
-                    bytes,
-                    chunks: payloads.len(),
-                    error: None,
-                },
-                Err(e) => CacheFileReport {
-                    path,
-                    bytes,
-                    chunks: 0,
-                    error: Some(e),
-                },
-            }
-        };
-        reports.push(report);
-    }
-    reports.sort_by(|a, b| a.path.cmp(&b.path));
-    reports
-}
-
-/// Delete every invalid cache file (and leftover temporary file) in
-/// `dir`. Returns `(files_removed, bytes_reclaimed)`.
-pub fn gc(dir: &Path) -> (usize, u64) {
-    let mut removed = 0usize;
-    let mut reclaimed = 0u64;
-    for report in scan(dir) {
-        if !report.is_valid() && std::fs::remove_file(&report.path).is_ok() {
-            removed += 1;
-            reclaimed += report.bytes;
-        }
-    }
-    (removed, reclaimed)
+/// Validate every cache file in `dir` (non-recursively), each against
+/// the key its name spells; leftover temporary files are reported as
+/// invalid. A report's `records` are its chunks and its `count` its ops.
+pub fn scan(dir: &Path) -> Vec<FileReport> {
+    cellfile::scan(dir, &[&FORMAT])
 }
 
 #[cfg(test)]
@@ -340,8 +152,12 @@ mod tests {
         buf
     }
 
+    /// The file image stays byte-for-byte the layout earlier builds
+    /// wrote, so existing cache directories remain valid: header CRC at
+    /// bytes 44..48, chunk records `ops | len | crc | payload`.
     #[test]
-    fn round_trip_and_every_corruption_mode_is_detected() {
+    fn save_writes_the_established_layout_and_load_reads_it_back() {
+        use ampsched_util::hash::crc32;
         let dir = tmp_dir("roundtrip");
         let key: Key = (0xabcd, 7, 1 << 30, (1 << 30) + (1 << 28));
         let payload = sample_payload();
@@ -349,37 +165,38 @@ mod tests {
         save(&path, key, &[&payload, &payload]).expect("save");
 
         let back = load(&path, key).expect("valid file loads");
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0], payload);
+        assert_eq!(back, vec![payload.clone(), payload.clone()]);
 
         let image = std::fs::read(&path).expect("read image");
-        // Truncation at every interesting boundary.
-        for cut in [0, 4, HEADER_LEN - 1, HEADER_LEN + 3, image.len() - 1] {
-            assert!(
-                parse_image(&image[..cut], Some(key)).is_err(),
-                "truncation to {cut} bytes must be detected"
-            );
-        }
-        // Version skew.
-        let mut skew = image.clone();
-        skew[8] = skew[8].wrapping_add(1);
-        assert!(parse_image(&skew, Some(key)).unwrap_err().contains("version"));
-        // Key mismatch.
-        assert!(parse_image(&image, Some((1, 2, 3, 4))).unwrap_err().contains("key"));
-        // Payload bit-flip.
-        let mut flip = image.clone();
-        let at = HEADER_LEN + CHUNK_HEADER_LEN + 100;
-        flip[at] ^= 0x40;
-        assert!(parse_image(&flip, Some(key)).unwrap_err().contains("checksum"));
-        // Bad magic.
-        let mut magic = image.clone();
-        magic[0] = b'X';
-        assert!(parse_image(&magic, Some(key)).unwrap_err().contains("magic"));
+        assert_eq!(&image[..8], b"AMPSTRC\0");
+        assert_eq!(image[8..12], 1u32.to_le_bytes());
+        assert_eq!(image[12..44], key_bytes(key)[..]);
+        assert_eq!(image[44..48], crc32(&image[..44]).to_le_bytes());
+        assert_eq!(image[48..52], (CHUNK_OPS as u32).to_le_bytes());
+        assert_eq!(image[52..56], (payload.len() as u32).to_le_bytes());
+        assert_eq!(image[56..60], crc32(&payload).to_le_bytes());
+        assert_eq!(image[60..60 + payload.len()], payload[..]);
+        assert_eq!(image.len(), 48 + 2 * (12 + payload.len()));
+        assert!(load(&path, (1, 2, 3, 4)).unwrap_err().contains("key"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn scan_reports_and_gc_reclaims() {
+    fn chunks_with_a_wrong_op_count_or_undecodable_payload_are_rejected() {
+        let key = key_bytes((1, 2, 3, 4));
+        let payload = sample_payload();
+        let short = FORMAT.image(&key, &[Record { count: CHUNK_OPS as u32 - 1, payload: &payload }]);
+        let err = cellfile::parse(&short, &FORMAT, &key).unwrap_err();
+        assert!(err.contains("ops, expected"), "{err}");
+        // A checksum-valid payload that is not a packed chunk.
+        let junk = vec![0xFFu8; 64];
+        let undecodable = FORMAT.image(&key, &[Record { count: CHUNK_OPS as u32, payload: &junk }]);
+        let err = cellfile::parse(&undecodable, &FORMAT, &key).unwrap_err();
+        assert!(err.contains("does not decode"), "{err}");
+    }
+
+    #[test]
+    fn scan_checks_the_name_key_and_gc_reclaims() {
         let dir = tmp_dir("scan");
         let key: Key = (1, 2, 3, 4);
         let payload = sample_payload();
@@ -387,17 +204,19 @@ mod tests {
         save(&good, key, &[&payload]).expect("save");
         let bad = chunk_file_path(&dir, "bad", (5, 6, 7, 8));
         std::fs::write(&bad, b"not a cache file").expect("write bad");
+        // A valid file under another key's name fails the key echo.
+        std::fs::copy(&good, chunk_file_path(&dir, "mcf", (9, 9, 9, 9))).expect("copy");
         std::fs::write(dir.join(".orphan.atc.123.tmp"), b"partial").expect("write tmp");
 
         let reports = scan(&dir);
-        assert_eq!(reports.len(), 3);
+        assert_eq!(reports.len(), 4);
         let valid: Vec<_> = reports.iter().filter(|r| r.is_valid()).collect();
         assert_eq!(valid.len(), 1);
-        assert_eq!(valid[0].chunks, 1);
-        assert_eq!(valid[0].ops(), CHUNK_OPS as u64);
+        assert_eq!(valid[0].records, 1);
+        assert_eq!(valid[0].count, CHUNK_OPS as u64);
 
-        let (removed, reclaimed) = gc(&dir);
-        assert_eq!(removed, 2);
+        let (removed, reclaimed) = cellfile::gc(&dir, &[&FORMAT]);
+        assert_eq!(removed, 3);
         assert!(reclaimed > 0);
         assert!(good.exists(), "gc must keep valid files");
         assert_eq!(scan(&dir).len(), 1);

@@ -4,9 +4,9 @@
 //! [`crc32`] is the standard CRC-32/ISO-HDLC (the zlib/PNG/gzip
 //! polynomial, reflected, init and xorout `0xFFFF_FFFF`), computed with
 //! a compile-time 256-entry table. It exists so on-disk artifacts — the
-//! trace-arena cache files in `ampsched-trace` — can detect truncation
-//! and bit-rot without pulling a crates.io dependency into the
-//! otherwise hermetic build.
+//! [`crate::cellfile`] files behind the trace cache and the serve result
+//! cache — can detect truncation and bit-rot without pulling a crates.io
+//! dependency into the otherwise hermetic build.
 //!
 //! [`fnv64`] is FNV-1a with 64-bit state: a fast, dependency-free hash
 //! with good dispersion over short keys, used where a wide

@@ -12,11 +12,13 @@
 //! | [`json`] | `serde`/`serde_json` | a small JSON value type, serializer, and parser |
 //! | [`timer`] | — | the `--profile` phase profiler and the bench-result differ behind `bench_diff` |
 //! | [`hash`] | `crc32fast` | compile-time-tabled CRC-32 for on-disk integrity checks |
+//! | [`cellfile`] | — | the one checked on-disk cell format: versioned, key-echoing, CRC-framed records, atomic write, directory scan |
 //!
 //! Every generator and harness in this crate is deterministic: the same
 //! seed produces the same byte stream, the same test cases, and the same
 //! failures, on every host.
 
+pub mod cellfile;
 pub mod check;
 pub mod hash;
 pub mod json;
