@@ -30,11 +30,15 @@
 //!   all           everything above, in order
 //! ```
 //!
-//! `--trace-cache DIR` (default: the `AMPSCHED_TRACE_CACHE` environment
-//! variable, unset = no persistence) makes the trace arena durable: a
-//! cold run writes each materialized stream to a checksummed chunk file
-//! under DIR, and warm runs load instead of regenerating — bit-identical
-//! either way, with corrupt or stale files deleted and regenerated.
+//! Presets apply first and flags may come in any order: the run-parameter
+//! flags are a `/run` request's `params` members (`--quick` is
+//! `"scale": "quick"`, `--profile-insts N` is `"profile_insts": N`) and
+//! resolve through the same `Params::resolve`.
+//!
+//! `--trace-cache DIR` makes the trace arena durable: a cold run writes
+//! each materialized stream to a checksummed chunk file under DIR, and
+//! warm runs load instead of regenerating — bit-identical either way,
+//! with corrupt or stale files deleted and regenerated.
 //!
 //! `--telemetry FILE` streams every scheduler decision as one JSON
 //! object per line (the audit trail: predictor inputs, outputs, swap
@@ -61,11 +65,10 @@
 //! latency (`--corpus`, `--repeat`, `--json`). EXPERIMENTS.md is the
 //! full reference; DESIGN.md §14 the architecture.
 
-use ampsched_cpu::SimPath;
 use ampsched_experiments::{
     common::Params, obs_summary, profiling, report, serve, telemetry, trace_cache,
 };
-use ampsched_trace::{arena, persist, timing, TracePath};
+use ampsched_trace::{arena, timing};
 use ampsched_util::timer::{resolve_out_dir, Profiler};
 use ampsched_util::Json;
 use std::path::Path;
@@ -98,13 +101,18 @@ fn usage() -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut params = Params::default();
+    // Run-parameter flags as `/run` request members, and their spelling
+    // for `serve`'s refusal.
+    let mut overrides: Vec<(String, Json)> = Vec::new();
+    let mut run_flags: Vec<&str> = Vec::new();
     let mut command: Option<String> = None;
     let mut action: Option<String> = None;
     let mut csv_path: Option<String> = None;
     let mut json_path: Option<String> = None;
     let mut profile = false;
     let mut profile_sample: Option<u64> = None;
+    let mut telemetry: Option<std::path::PathBuf> = None;
+    let mut trace_events: Option<std::path::PathBuf> = None;
     // `serve` / `serve-bench` knobs (ignored by other commands).
     let mut serve_addr: Option<String> = None;
     let mut serve_workers: Option<usize> = None;
@@ -118,58 +126,25 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--quick" => params = Params::quick(),
-            "--medium" => params = Params::medium(),
-            "--pairs" => {
-                i += 1;
-                params.num_pairs = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--insts" => {
-                i += 1;
-                params.run_insts = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--profile-insts" => {
-                i += 1;
-                params.profile_insts = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--sim-path" => {
-                i += 1;
-                params.system.sim_path = args
-                    .get(i)
-                    .and_then(|s| SimPath::from_flag(s))
-                    .unwrap_or_else(|| usage());
-            }
-            "--trace-path" => {
-                i += 1;
-                params.trace_path = args
-                    .get(i)
-                    .and_then(|s| TracePath::from_flag(s))
-                    .unwrap_or_else(|| usage());
-            }
-            "--trace-cache" => {
-                i += 1;
-                let dir = args.get(i).cloned().unwrap_or_else(|| usage());
-                params.trace_cache = Some(std::path::PathBuf::from(dir));
+            flag @ ("--quick" | "--medium") => {
+                overrides.push(("scale".to_string(), Json::from(&flag[2..])));
+                run_flags.push(flag);
             }
             "--telemetry" => {
                 i += 1;
                 let file = args.get(i).cloned().unwrap_or_else(|| usage());
-                params.telemetry = Some(std::path::PathBuf::from(file));
+                telemetry = Some(std::path::PathBuf::from(file));
             }
             "--trace-events" => {
                 i += 1;
                 let file = args.get(i).cloned().unwrap_or_else(|| usage());
-                params.trace_events = Some(std::path::PathBuf::from(file));
+                trace_events = Some(std::path::PathBuf::from(file));
             }
             "--profile" => profile = true,
             "--profile-sample" => {
                 i += 1;
                 profile_sample =
                     Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()));
-            }
-            "--seed" => {
-                i += 1;
-                params.seed = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
             }
             "--csv" => {
                 i += 1;
@@ -223,6 +198,19 @@ fn main() {
                 i += 1;
                 json_path = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
             }
+            // Every other `--name VALUE` is the request member `name`
+            // (`-` spelled `_`); `Params::resolve` checks the name and
+            // the value. Text that reads as an integer is passed as a
+            // number. `scale` is spelled `--quick`/`--medium` only.
+            flag if flag.starts_with("--") && !flag.contains('_') && flag != "--scale" => {
+                i += 1;
+                let text = args.get(i).unwrap_or_else(|| usage());
+                let value = text
+                    .parse::<u64>()
+                    .map_or_else(|_| Json::from(text.as_str()), Json::from);
+                overrides.push((flag[2..].replace('-', "_"), value));
+                run_flags.push(flag);
+            }
             c if command.is_none() && !c.starts_with('-') => command = Some(c.to_string()),
             // `trace-cache` takes one action word (stats|verify|gc);
             // `obs-summary` takes the telemetry file to read.
@@ -236,21 +224,16 @@ fn main() {
         }
         i += 1;
     }
+    let params = Params::resolve(&overrides, &Params::default()).unwrap_or_else(|e| {
+        eprintln!("ampsched: {e}");
+        usage()
+    });
     let command = command.unwrap_or_else(|| usage());
-    // Environment default for the persistent trace cache; the explicit
-    // flag wins.
-    if params.trace_cache.is_none() {
-        if let Some(dir) = std::env::var_os("AMPSCHED_TRACE_CACHE") {
-            if !dir.is_empty() {
-                params.trace_cache = Some(std::path::PathBuf::from(dir));
-            }
-        }
-    }
 
     // Cache maintenance runs standalone: no profiling, no simulation.
     if command == "trace-cache" {
         let Some(dir) = &params.trace_cache else {
-            eprintln!("trace-cache: no cache directory (pass --trace-cache DIR or set AMPSCHED_TRACE_CACHE)");
+            eprintln!("trace-cache: no cache directory (pass --trace-cache DIR)");
             std::process::exit(2);
         };
         let action = action
@@ -302,8 +285,21 @@ fn main() {
     }
 
     // The daemon runs standalone: it owns its own profiling (per job)
-    // and never uses the CLI's csv/json/profile plumbing.
+    // and never uses the CLI's csv/json/profile plumbing. Each job
+    // resolves its parameters from its own request and inherits only
+    // the daemon's trace-cache directory, so any other run-parameter
+    // flag would be silently ignored: refuse it.
     if command == "serve" {
+        let ignored: Vec<&str> =
+            run_flags.into_iter().filter(|f| *f != "--trace-cache").collect();
+        if !ignored.is_empty() {
+            eprintln!(
+                "serve: {} would be ignored: jobs take run parameters from the request's \"params\" \
+                 (only --trace-cache applies to the daemon)",
+                ignored.join(", ")
+            );
+            std::process::exit(2);
+        }
         let mut config = serve::ServeConfig::default();
         if let Some(addr) = serve_addr {
             config.addr = addr;
@@ -320,7 +316,7 @@ fn main() {
         }
         config.access_log = serve_access_log;
         config.flight_recorder = serve_flight_recorder;
-        config.base = params.clone();
+        config.base = params;
         let server = serve::Server::bind(config).unwrap_or_else(|e| {
             eprintln!("serve: cannot bind: {e}");
             std::process::exit(1);
@@ -368,13 +364,13 @@ fn main() {
 
     // Observability side channels: the JSONL decision stream and host-time
     // span recording. Both observe the run without feeding back into it.
-    if let Some(file) = &params.telemetry {
+    if let Some(file) = &telemetry {
         if let Err(e) = ampsched_obs::telemetry::install(file) {
             eprintln!("cannot open telemetry file {}: {e}", file.display());
             std::process::exit(2);
         }
     }
-    if profile || params.trace_events.is_some() {
+    if profile || trace_events.is_some() {
         ampsched_obs::span::set_enabled(true);
     }
     // Pipeline sampling: `--profile` turns it on at the default cadence;
@@ -383,13 +379,6 @@ fn main() {
     if profile || profile_sample.is_some() {
         ampsched_obs::profiler::set_interval(profile_sample.unwrap_or(8192).max(1));
     }
-
-    // Warm/cold label for profile artifacts: the run is warm when the
-    // cache directory already holds chunk files at startup.
-    let cache_state = params.trace_cache.as_deref().map(|dir| {
-        let has_files = persist::scan(dir).iter().any(|r| r.is_valid());
-        if has_files { "warm" } else { "cold" }
-    });
 
     let t0 = Instant::now();
     // Per-phase wall-clock accounting for `--profile`; shaped like a bench
@@ -434,11 +423,11 @@ fn main() {
     }
     // Flush the JSONL audit trail before reporting so the file is
     // complete when the process exits.
-    if let Some(file) = &params.telemetry {
+    if let Some(file) = &telemetry {
         ampsched_obs::telemetry::close();
         eprintln!("[telemetry stream written to {}]", file.display());
     }
-    if let Some(file) = &params.trace_events {
+    if let Some(file) = &trace_events {
         match ampsched_obs::span::write_trace_events(file) {
             Ok(n) => eprintln!("[{n} trace events written to {}]", file.display()),
             Err(e) => eprintln!("cannot write trace events to {}: {e}", file.display()),
@@ -488,7 +477,15 @@ fn main() {
         let dir = resolve_out_dir(Path::new("results/bench"));
         std::fs::create_dir_all(&dir).expect("create results/bench");
         // With a persistent cache the warm/cold distinction dominates the
-        // trace phase, so it becomes part of the artifact identity.
+        // trace phase, so it becomes part of the artifact identity: the
+        // run is warm when it loaded any stream from the cache.
+        let cache_state = params.trace_cache.is_some().then(|| {
+            let loaded = ampsched_obs::metrics::snapshot()
+                .counters
+                .iter()
+                .any(|(name, n)| name == "trace.cache.load" && *n > 0);
+            if loaded { "warm" } else { "cold" }
+        });
         let state_suffix = cache_state.map(|s| format!("-{s}")).unwrap_or_default();
         let out = dir.join(format!(
             "profile-{command}-{sim_path_name}-{trace_path_name}{state_suffix}.json"

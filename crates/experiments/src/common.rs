@@ -6,9 +6,10 @@ use ampsched_core::{
     OracleScheduler, ProposedConfig, ReplaySchedule, SamplingScheduler, Scheduler, TopoHpe,
     TopoProposed, TopoRoundRobin, TopoScheduler, TopoStatic, TpeScheduler,
 };
-use ampsched_system::{DualCoreSystem, SystemConfig, TopoRunResult};
+use ampsched_system::{DualCoreSystem, SimPath, SystemConfig, TopoRunResult};
 use ampsched_trace::{suite, BenchmarkSpec, TracePath, Workload};
 use ampsched_util::rng::StdRng;
+use ampsched_util::Json;
 
 /// Global experiment parameters.
 #[derive(Debug, Clone)]
@@ -32,16 +33,8 @@ pub struct Params {
     /// trace arena (default) or generated live (`--trace-path stream`).
     pub trace_path: TracePath,
     /// Directory for the persistent on-disk trace cache
-    /// (`--trace-cache`, or the `AMPSCHED_TRACE_CACHE` environment
-    /// variable). `None` keeps the arena in-memory only.
+    /// (`--trace-cache`). `None` keeps the arena in-memory only.
     pub trace_cache: Option<std::path::PathBuf>,
-    /// JSONL decision-telemetry output file (`--telemetry`). `None`
-    /// disables emission. Telemetry is an observation of each run, never
-    /// an input: report output is byte-identical either way.
-    pub telemetry: Option<std::path::PathBuf>,
-    /// Chrome trace-event output file (`--trace-events`). Enables span
-    /// recording for the process and writes the event file at exit.
-    pub trace_events: Option<std::path::PathBuf>,
 }
 
 impl Default for Params {
@@ -56,8 +49,6 @@ impl Default for Params {
             system: SystemConfig::default(),
             trace_path: TracePath::default(),
             trace_cache: None,
-            telemetry: None,
-            trace_events: None,
         }
     }
 }
@@ -73,15 +64,11 @@ impl Params {
             num_pairs: 8,
             profile_insts: 1_500_000,
             profile_interval_cycles: 400_000,
-            seed: 2012,
             system: SystemConfig {
                 epoch_cycles: 400_000,
                 ..SystemConfig::default()
             },
-            trace_path: TracePath::default(),
-            trace_cache: None,
-            telemetry: None,
-            trace_events: None,
+            ..Params::default()
         }
     }
 
@@ -93,16 +80,65 @@ impl Params {
             num_pairs: 40,
             profile_insts: 4_000_000,
             profile_interval_cycles: 1_000_000,
-            seed: 2012,
             system: SystemConfig {
                 epoch_cycles: 1_000_000,
                 ..SystemConfig::default()
             },
-            trace_path: TracePath::default(),
-            trace_cache: None,
-            telemetry: None,
-            trace_events: None,
+            ..Params::default()
         }
+    }
+
+    /// Resolve a run's parameters from `overrides`: the members of a
+    /// `/run` request's `params` object, or the CLI's run-parameter
+    /// flags spelled as those members. The `scale` preset applies first
+    /// wherever it appears, then `base.trace_cache` is inherited, then
+    /// every other member applies in order. This is the one place that
+    /// knows the settable keys, their types and their error messages.
+    pub fn resolve(overrides: &[(String, Json)], base: &Params) -> Result<Params, String> {
+        let mut params = match overrides.iter().find(|(k, _)| k == "scale") {
+            None => Params::default(),
+            Some((_, v)) => match v.as_str() {
+                Some("default") => Params::default(),
+                Some("quick") => Params::quick(),
+                Some("medium") => Params::medium(),
+                _ => return Err("\"scale\" must be \"default\", \"quick\", or \"medium\"".into()),
+            },
+        };
+        params.trace_cache = base.trace_cache.clone();
+
+        let want_u64 = |k: &str, v: &Json| {
+            v.as_u64().ok_or_else(|| format!("{k:?} must be a non-negative integer"))
+        };
+        for (key, value) in overrides {
+            match key.as_str() {
+                "scale" => {} // applied above
+                "pairs" => params.num_pairs = want_u64("pairs", value)? as usize,
+                "insts" => params.run_insts = want_u64("insts", value)?,
+                "profile_insts" => params.profile_insts = want_u64("profile_insts", value)?,
+                "seed" => params.seed = want_u64("seed", value)?,
+                "sim_path" => {
+                    params.system.sim_path = value
+                        .as_str()
+                        .and_then(SimPath::from_flag)
+                        .ok_or("\"sim_path\" must be \"fast\" or \"reference\"")?
+                }
+                "trace_path" => {
+                    params.trace_path = value
+                        .as_str()
+                        .and_then(TracePath::from_flag)
+                        .ok_or("\"trace_path\" must be \"arena\" or \"stream\"")?
+                }
+                "trace_cache" => {
+                    params.trace_cache = match value {
+                        Json::Null => None,
+                        Json::Str(dir) => Some(std::path::PathBuf::from(dir)),
+                        _ => return Err("\"trace_cache\" must be a string or null".into()),
+                    }
+                }
+                other => return Err(format!("unknown params field {other:?}")),
+            }
+        }
+        Ok(params)
     }
 
     /// Provision one thread's workload per this configuration's trace

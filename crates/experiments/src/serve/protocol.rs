@@ -10,12 +10,13 @@
 //! ```
 //!
 //! `params` mirrors the CLI flags one-for-one (`scale` ↔
-//! `--quick`/`--medium`, `pairs` ↔ `--pairs`, ...), so any CLI `--json`
-//! invocation can be reproduced as a request — and the served response
-//! is byte-identical to the file that invocation would have written
-//! (enforced by `serve_e2e` and the CI serve leg). Unknown fields are
-//! *rejected*, not ignored: a typo'd override must not silently resolve
-//! to a different cache cell.
+//! `--quick`/`--medium`, `pairs` ↔ `--pairs`, ...), and both resolve
+//! through [`Params::resolve`], so any CLI `--json` invocation can be
+//! reproduced as a request — and the served response is byte-identical
+//! to the file that invocation would have written (enforced by
+//! `serve_e2e` and the CI serve leg). Unknown fields are *rejected*, not
+//! ignored: a typo'd override must not silently resolve to a different
+//! cache cell.
 //!
 //! The cache key is [`canonical_hash`]: an FNV-64 over the canonical
 //! string of the *resolved* [`Params`] — every request-settable field
@@ -26,8 +27,6 @@
 
 use crate::common::Params;
 use crate::report::SERVABLE_COMMANDS;
-use ampsched_system::SimPath;
-use ampsched_trace::TracePath;
 use ampsched_util::hash::fnv64;
 use ampsched_util::Json;
 
@@ -77,58 +76,7 @@ pub fn parse_request(body: &[u8], base: &Params) -> Result<JobSpec, String> {
         ));
     }
 
-    // Two passes over the overrides: the scale preset must be applied
-    // before the scalar overrides so e.g. {"scale":"quick","insts":N}
-    // resolves identically regardless of field order.
-    let overrides = params_obj.unwrap_or(&[]);
-    let mut params = match overrides.iter().find(|(k, _)| k == "scale") {
-        None => Params::default(),
-        Some((_, v)) => match v.as_str() {
-            Some("default") => Params::default(),
-            Some("quick") => Params::quick(),
-            Some("medium") => Params::medium(),
-            _ => return Err("\"scale\" must be \"default\", \"quick\", or \"medium\"".into()),
-        },
-    };
-    params.trace_cache = base.trace_cache.clone();
-    // Jobs never stream telemetry or spans: those are process-wide side
-    // channels the daemon owns, not per-request knobs.
-    params.telemetry = None;
-    params.trace_events = None;
-
-    let want_u64 = |k: &str, v: &Json| {
-        v.as_u64().ok_or_else(|| format!("{k:?} must be a non-negative integer"))
-    };
-    for (key, value) in overrides {
-        match key.as_str() {
-            "scale" => {} // applied above
-            "pairs" => params.num_pairs = want_u64("pairs", value)? as usize,
-            "insts" => params.run_insts = want_u64("insts", value)?,
-            "profile_insts" => params.profile_insts = want_u64("profile_insts", value)?,
-            "seed" => params.seed = want_u64("seed", value)?,
-            "sim_path" => {
-                params.system.sim_path = value
-                    .as_str()
-                    .and_then(SimPath::from_flag)
-                    .ok_or("\"sim_path\" must be \"fast\" or \"reference\"")?
-            }
-            "trace_path" => {
-                params.trace_path = value
-                    .as_str()
-                    .and_then(TracePath::from_flag)
-                    .ok_or("\"trace_path\" must be \"arena\" or \"stream\"")?
-            }
-            "trace_cache" => {
-                params.trace_cache = match value {
-                    Json::Null => None,
-                    Json::Str(dir) => Some(std::path::PathBuf::from(dir)),
-                    _ => return Err("\"trace_cache\" must be a string or null".into()),
-                }
-            }
-            other => return Err(format!("unknown params field {other:?}")),
-        }
-    }
-
+    let params = Params::resolve(params_obj.unwrap_or(&[]), base)?;
     Ok(JobSpec { experiment, params })
 }
 
@@ -234,16 +182,6 @@ mod tests {
         assert!(parse_request(br#"{"experiment":"rm -rf"}"#, &base()).is_err());
         assert!(parse_request(b"not json", &base()).is_err());
         assert!(parse_request(b"[1,2]", &base()).is_err());
-    }
-
-    #[test]
-    fn jobs_never_inherit_telemetry_sinks() {
-        let mut b = base();
-        b.telemetry = Some("/tmp/x.jsonl".into());
-        b.trace_events = Some("/tmp/x.json".into());
-        let spec = parse_request(br#"{"experiment":"fig1"}"#, &b).unwrap();
-        assert!(spec.params.telemetry.is_none());
-        assert!(spec.params.trace_events.is_none());
     }
 
     #[test]

@@ -307,7 +307,103 @@ fn ampsched_profile_flag_writes_bench_report() {
     for b in benches {
         assert!(b.get("mean_ns").and_then(Json::as_f64).expect("mean_ns") > 0.0);
     }
+
+    // With a persistent cache the artifact is labelled by whether the
+    // run loaded any stream from it: a fresh directory is cold, the next
+    // run on it warm.
+    let cache = dir.join("trace-cache");
+    let labelled = |s: &str| dir.join(format!("results/bench/profile-fig1-fast-arena-{s}.json"));
+    for state in ["cold", "warm"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ampsched"))
+            .args(["--quick", "--insts", "20000", "--profile", "--trace-cache"])
+            .arg(&cache)
+            .arg("fig1")
+            .env("CARGO_MANIFEST_DIR", &dir)
+            .output()
+            .expect("run ampsched");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(labelled(state).exists(), "the {state} run must write its {state} profile");
+        if state == "cold" {
+            assert!(!labelled("warm").exists(), "a fresh cache directory is cold");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn ampsched_flag_order_does_not_matter() {
+    // Run-parameter flags resolve like a request's `params` members: the
+    // preset applies first wherever it is spelled, so flags before
+    // `--quick` are kept, and side-channel flags too.
+    let dir = temp_dir("flag-order");
+    let cache = dir.join("trace-cache").display().to_string();
+    let telemetry = dir.join("decisions.jsonl");
+    let run = |args: &[&str], report: &str| {
+        let report = dir.join(report);
+        let out = Command::new(env!("CARGO_BIN_EXE_ampsched"))
+            .args(args)
+            .arg("--json")
+            .arg(&report)
+            .arg("fig1")
+            .output()
+            .expect("run ampsched");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(std::fs::read(&report).expect("report written")).expect("UTF-8")
+    };
+    let late = run(
+        &[
+            "--sim-path", "reference", "--trace-cache", &cache, "--telemetry",
+            &telemetry.display().to_string(), "--quick", "--pairs", "2", "--insts", "20000",
+            "--profile-insts", "200000",
+        ],
+        "late.json",
+    );
+    let telemetry_written = telemetry.exists();
+    let first = run(
+        &[
+            "--quick", "--pairs", "2", "--insts", "20000", "--profile-insts", "200000",
+            "--sim-path", "reference", "--trace-cache", &cache,
+        ],
+        "first.json",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(telemetry_written, "--telemetry before --quick must still be honoured");
+    assert_eq!(late, first, "flag order must not change the report");
+    let doc = Json::parse(&late).expect("report parses");
+    let params = doc.get("params").expect("params section");
+    assert_eq!(params.get("sim_path").and_then(Json::as_str), Some("reference"));
+    assert_eq!(params.get("run_insts").and_then(Json::as_u64), Some(20000));
+    assert_eq!(params.get("trace_cache").and_then(Json::as_str), Some(cache.as_str()));
+}
+
+#[test]
+fn ampsched_serve_refuses_run_parameter_flags_it_would_ignore() {
+    // A port already taken: a daemon that got past the flag check fails
+    // to bind and exits 1 instead of serving.
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a port");
+    let addr = taken.local_addr().expect("bound address").to_string();
+    let dir = temp_dir("serve-flags");
+    let cache = dir.join("trace-cache");
+    let serve = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_ampsched"))
+            .args(args)
+            .arg("--trace-cache")
+            .arg(&cache)
+            .args(["serve", "--addr", &addr])
+            .output()
+            .expect("run ampsched")
+    };
+    let refused = serve(&["--quick", "--pairs", "2"]);
+    let accepted = serve(&[]);
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert_eq!(refused.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--quick, --pairs"), "{stderr}");
+    assert!(!stderr.contains("cannot bind"), "{stderr}");
+    // --trace-cache is the daemon's own: it passes the check.
+    let stderr = String::from_utf8_lossy(&accepted.stderr);
+    assert_eq!(accepted.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot bind"), "{stderr}");
 }
 
 #[test]
