@@ -83,6 +83,7 @@ const DST_FP: u8 = 2;
 /// [`RobSlot`] values through [`Rob::get`]/[`Rob::set`], so their stage
 /// bodies stay semantically verbatim over the new layout. Both kernels
 /// share this storage; there is no mirrored state to keep coherent.
+#[derive(Clone)]
 struct Rob {
     seq: Vec<u64>,
     ready_at: Vec<u64>,
@@ -240,6 +241,10 @@ impl SimPath {
 }
 
 /// One out-of-order core executing a [`Workload`] stream.
+///
+/// A clone is an independent core in the same state: given the same
+/// workload stream from the same position, it behaves identically.
+#[derive(Clone)]
 pub struct Core {
     cfg: CoreConfig,
     core_id: usize,
@@ -324,6 +329,9 @@ pub struct Core {
     last_fetch_line: u64,
     waiting_branch: Option<Dep>,
     redirect_until: u64,
+    /// Ops pulled from workloads so far (fetched, whether or not they
+    /// commit). Bookkeeping only: excluded from `state_digest`.
+    ops_pulled: u64,
 
     /// Architectural statistics.
     pub stats: CoreStats,
@@ -371,6 +379,7 @@ impl Core {
             last_fetch_line: u64::MAX,
             waiting_branch: None,
             redirect_until: 0,
+            ops_pulled: 0,
             stats: CoreStats::default(),
             activity: ActivityCounters::new(),
             cfg,
@@ -474,6 +483,13 @@ impl Core {
                 n
             }
         }
+    }
+
+    /// Ops this core has pulled from the workloads it ran so far. A
+    /// runner that knows which workload the core ran can tell from it
+    /// how far each stream has been read.
+    pub fn ops_pulled(&self) -> u64 {
+        self.ops_pulled
     }
 
     /// End of the certified quiescent region: every cycle strictly below
@@ -1166,6 +1182,7 @@ impl Core {
             // Refill the peek buffer.
             if self.pending.is_none() {
                 self.pending = Some(workload.next_op());
+                self.ops_pulled += 1;
             }
             let op = *self.pending.as_ref().expect("just filled");
 
@@ -1352,6 +1369,7 @@ impl Core {
             // Refill the peek buffer.
             if self.pending.is_none() {
                 self.pending = Some(workload.next_op());
+                self.ops_pulled += 1;
             }
             let op = *self.pending.as_ref().expect("just filled");
 

@@ -4,7 +4,7 @@
 use ampsched_core::ProposedConfig;
 use ampsched_metrics::{improvement_pct, mean, weighted_speedup, Table};
 
-use crate::common::{run_pair, sample_pairs, Params, Predictors, SchedKind};
+use crate::common::{run_pairs, sample_pairs, Params, Predictors, SchedKind};
 use crate::runner::parallel_map;
 
 /// One sensitivity point.
@@ -26,33 +26,36 @@ pub const HISTORIES: [usize; 2] = [5, 10];
 /// Run the Figure 6 sweep.
 pub fn run(params: &Params, predictors: &Predictors) -> Vec<Fig6Point> {
     let pairs = sample_pairs(params.num_pairs, params.seed);
-    // HPE baselines are shared by every configuration, and the selector
-    // by every pair.
-    let hpe_kind = SchedKind::HpeMatrix;
-    let hpe: Vec<Vec<f64>> = parallel_map(&pairs, |p| {
-        run_pair(p, &hpe_kind, predictors, params).ipc_per_watt()
-    });
     let mut grid = Vec::new();
     for &window in &WINDOWS {
         for &history in &HISTORIES {
             grid.push((window, history));
         }
     }
-    grid.iter()
-        .map(|&(window, history)| {
-            let kind = SchedKind::Proposed(ProposedConfig {
-                window,
-                history_depth: history,
-                fairness_interval_cycles: params.system.epoch_cycles,
-                ..ProposedConfig::default()
-            });
-            let imps: Vec<f64> = parallel_map(&pairs, |p| {
-                run_pair(p, &kind, predictors, params).ipc_per_watt()
-            })
+    // Per pair, one call runs the HPE baseline every configuration shares
+    // and then the configurations, in grid order.
+    let mut kinds = vec![SchedKind::HpeMatrix];
+    kinds.extend(grid.iter().map(|&(window, history)| {
+        SchedKind::Proposed(ProposedConfig {
+            window,
+            history_depth: history,
+            fairness_interval_cycles: params.system.epoch_cycles,
+            ..ProposedConfig::default()
+        })
+    }));
+    let runs: Vec<Vec<Vec<f64>>> = parallel_map(&pairs, |p| {
+        run_pairs(p, &kinds, predictors, params)
             .iter()
-            .zip(&hpe)
-            .map(|(new, base)| improvement_pct(weighted_speedup(new, base)))
-            .collect();
+            .map(|r| r.ipc_per_watt())
+            .collect()
+    });
+    grid.iter()
+        .enumerate()
+        .map(|(i, &(window, history))| {
+            let imps: Vec<f64> = runs
+                .iter()
+                .map(|ppw| improvement_pct(weighted_speedup(&ppw[i + 1], &ppw[0])))
+                .collect();
             Fig6Point {
                 window,
                 history,

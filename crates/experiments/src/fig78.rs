@@ -9,7 +9,7 @@ use ampsched_metrics::{
 };
 use ampsched_system::TopoRunResult;
 
-use crate::common::{run_pair, sample_pairs, Params, Predictors, SchedKind};
+use crate::common::{run_pairs, sample_pairs, Params, Predictors, SchedKind};
 use crate::runner::parallel_map;
 
 /// All three schemes' results for one pair.
@@ -185,17 +185,25 @@ pub fn to_json(sweep: &SweepResult) -> ampsched_util::Json {
 /// Run the full three-scheme sweep over `params.num_pairs` combinations.
 pub fn run_sweep(params: &Params, predictors: &Predictors) -> SweepResult {
     let pairs = sample_pairs(params.num_pairs, params.seed);
-    // One selector per scheme for the whole sweep: `run_pair` rebuilds the
-    // scheduler state per run, so the kinds (and the predictors they
-    // borrow) are shared, not reconstructed per pair.
-    let proposed = SchedKind::proposed_default(params);
-    let hpe = SchedKind::HpeMatrix;
-    let rr = SchedKind::RoundRobin(1);
-    let outcomes = parallel_map(&pairs, |pair| PairOutcome {
-        label: pair.label(),
-        proposed: run_pair(pair, &proposed, predictors, params),
-        hpe: run_pair(pair, &hpe, predictors, params),
-        rr: run_pair(pair, &rr, predictors, params),
+    // One selector per scheme for the whole sweep: `run_pairs` rebuilds
+    // the scheduler state per run, so the kinds (and the predictors they
+    // borrow) are shared, not reconstructed per pair. Proposed comes
+    // first: its run carries the prefix the three runs share.
+    let kinds = [
+        SchedKind::proposed_default(params),
+        SchedKind::HpeMatrix,
+        SchedKind::RoundRobin(1),
+    ];
+    let outcomes = parallel_map(&pairs, |pair| {
+        let [proposed, hpe, rr]: [TopoRunResult; 3] = run_pairs(pair, &kinds, predictors, params)
+            .try_into()
+            .expect("one run per kind");
+        PairOutcome {
+            label: pair.label(),
+            proposed,
+            hpe,
+            rr,
+        }
     });
     SweepResult { outcomes }
 }

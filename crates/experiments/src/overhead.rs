@@ -4,7 +4,7 @@
 
 use ampsched_metrics::{improvement_pct, mean, weighted_speedup, Table};
 
-use crate::common::{run_pair, sample_pairs, Params, Predictors, SchedKind};
+use crate::common::{run_pairs, sample_pairs, Params, Predictors, SchedKind};
 use crate::runner::parallel_map;
 
 /// One overhead sweep point.
@@ -23,16 +23,15 @@ pub const OVERHEADS: [u64; 5] = [100, 1_000, 10_000, 100_000, 1_000_000];
 /// proposed scheme at each point (both schemes pay to swap).
 pub fn run(params: &Params, predictors: &Predictors) -> Vec<OverheadPoint> {
     let pairs = sample_pairs(params.num_pairs, params.seed);
-    let hpe = SchedKind::HpeMatrix;
     OVERHEADS
         .iter()
         .map(|&overhead_cycles| {
             let mut p = params.clone();
             p.system.swap_overhead_cycles = overhead_cycles;
-            let kind = SchedKind::proposed_default(&p);
+            let kinds = [SchedKind::proposed_default(&p), SchedKind::HpeMatrix];
             let imps: Vec<f64> = parallel_map(&pairs, |pair| {
-                let new = run_pair(pair, &kind, predictors, &p).ipc_per_watt();
-                let base = run_pair(pair, &hpe, predictors, &p).ipc_per_watt();
+                let runs = run_pairs(pair, &kinds, predictors, &p);
+                let (new, base) = (runs[0].ipc_per_watt(), runs[1].ipc_per_watt());
                 improvement_pct(weighted_speedup(&new, &base))
             });
             OverheadPoint {

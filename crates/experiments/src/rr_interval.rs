@@ -4,7 +4,7 @@
 
 use ampsched_metrics::{mean, weighted_improvement_pct, Table};
 
-use crate::common::{run_pair, sample_pairs, Params, Predictors, SchedKind};
+use crate::common::{run_pairs, sample_pairs, Params, Predictors, SchedKind};
 use crate::runner::parallel_map;
 
 /// Result of the interval comparison.
@@ -20,11 +20,10 @@ pub struct RrIntervalResult {
 /// Run the comparison.
 pub fn run(params: &Params, predictors: &Predictors) -> RrIntervalResult {
     let pairs = sample_pairs(params.num_pairs, params.seed);
-    let kind1 = SchedKind::RoundRobin(1);
-    let kind2 = SchedKind::RoundRobin(2);
+    let kinds = [SchedKind::RoundRobin(1), SchedKind::RoundRobin(2)];
     let per_pair: Vec<(String, f64)> = parallel_map(&pairs, |pair| {
-        let rr1 = run_pair(pair, &kind1, predictors, params).ipc_per_watt();
-        let rr2 = run_pair(pair, &kind2, predictors, params).ipc_per_watt();
+        let runs = run_pairs(pair, &kinds, predictors, params);
+        let (rr1, rr2) = (runs[0].ipc_per_watt(), runs[1].ipc_per_watt());
         (pair.label(), weighted_improvement_pct(&rr1, &rr2))
     });
     RrIntervalResult {

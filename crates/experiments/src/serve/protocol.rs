@@ -185,6 +185,16 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_scale_is_rejected() {
+        let err = parse_request(
+            br#"{"experiment":"fig1","params":{"scale":"quick","insts":20000,"scale":"nope"}}"#,
+            &base(),
+        )
+        .unwrap_err();
+        assert_eq!(err, "\"scale\" given more than once");
+    }
+
+    #[test]
     fn trace_cache_inherits_from_base_but_can_be_cleared() {
         let mut b = base();
         b.trace_cache = Some("/tmp/tc".into());

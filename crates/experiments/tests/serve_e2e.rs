@@ -195,6 +195,17 @@ fn error_paths_and_shutdown() {
         http::request(&addr, "POST", "/run", b"this is not json").expect("400 request");
     assert_eq!(status, 400);
 
+    // A repeated member is not silently resolved to its first value.
+    let (status, _, body) = http::request(
+        &addr,
+        "POST",
+        "/run",
+        br#"{"experiment":"fig1","params":{"scale":"quick","insts":20000,"scale":"nope"}}"#,
+    )
+    .expect("400 request");
+    assert_eq!(status, 400);
+    assert!(String::from_utf8_lossy(&body).contains("given more than once"));
+
     // POST /shutdown drains the server; the run() thread joins.
     let (status, _, _) = http::request(&addr, "POST", "/shutdown", b"").expect("shutdown");
     assert_eq!(status, 200);

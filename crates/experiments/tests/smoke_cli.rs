@@ -407,6 +407,46 @@ fn ampsched_serve_refuses_run_parameter_flags_it_would_ignore() {
 }
 
 #[test]
+fn ampsched_refuses_two_scale_presets() {
+    // `--medium --quick` is `scale` given twice: neither wins silently.
+    let out = Command::new(env!("CARGO_BIN_EXE_ampsched"))
+        .args(["--medium", "--quick", "fig1"])
+        .output()
+        .expect("run ampsched");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("\"scale\" given more than once"), "{stderr}");
+}
+
+#[test]
+fn ampsched_serve_refuses_side_channel_flags() {
+    // The daemon answers over HTTP and writes none of these files, so
+    // each flag would be silently ignored: exit 2 before binding (the
+    // port is taken, so a daemon past the check would exit 1).
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a port");
+    let addr = taken.local_addr().expect("bound address").to_string();
+    let dir = temp_dir("serve-side-flags");
+    let path = |name: &str| dir.join(name).display().to_string();
+    let out = Command::new(env!("CARGO_BIN_EXE_ampsched"))
+        .args(["--telemetry", &path("decisions.jsonl"), "--trace-events", &path("trace.json")])
+        .args(["--profile", "--profile-sample", "500"])
+        .args(["--csv", &path("pairs.csv"), "--json", &path("report.json")])
+        .args(["serve", "--addr", &addr])
+        .output()
+        .expect("run ampsched");
+    let written = std::fs::read_dir(&dir).map_or(0, |d| d.count());
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("--telemetry, --trace-events, --profile, --profile-sample, --csv, --json"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("cannot bind"), "{stderr}");
+    assert_eq!(written, 0, "a refused daemon creates no file");
+}
+
+#[test]
 fn ampsched_trace_path_stream_matches_arena_report() {
     // The two provisioning paths must be observationally identical at the
     // CLI level: byte-identical figure sections in the JSON report.

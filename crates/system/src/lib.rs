@@ -13,6 +13,9 @@
 //! overhead (Section VI-C) on exactly the cores whose occupant changed,
 //! and naturally cold L1s (the threads' address spaces are disjoint, so
 //! a migrated-to core's caches hold another thread's lines).
+//! [`MulticoreSystem::run_lanes`] runs several schedulers ([`Lane`]s)
+//! from one cold machine at once, simulating their common prefix once
+//! and forking the machine where their decisions differ.
 //!
 //! [`DualCoreSystem`] is the paper's fixed shape — one FP-flavored core
 //! (core 0, Figure 1's "core A") and one INT-flavored core (core 1,
@@ -32,6 +35,6 @@ pub mod topo;
 pub use duo::{DualCoreSystem, RunResult, SimPath, SystemConfig};
 pub use single::{run_alone, run_alone_with, IntervalSample, SingleCoreRunner, SingleRunResult};
 pub use topo::{
-    attribute_regret, derive_traits, DecisionKind, MulticoreSystem, Topology, TopoDecisionRecord,
-    TopoDecisionThread, TopoRunResult,
+    attribute_regret, derive_traits, DecisionKind, Lane, MulticoreSystem, Topology,
+    TopoDecisionRecord, TopoDecisionThread, TopoRunResult,
 };

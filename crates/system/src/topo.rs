@@ -8,6 +8,13 @@
 //! epochs, and per-assignment migration costs (each reassignment
 //! flushes + stalls exactly the cores whose occupant changed).
 //!
+//! One loop runs one or several schedulers ("lanes") from the same cold
+//! machine ([`MulticoreSystem::run_lanes`]; [`MulticoreSystem::run`] is
+//! the one-lane case). Lanes share the machine while their decisions
+//! agree and fork onto a clone of it where they differ, keeping their
+//! own energy books and decision records, so each lane's result is
+//! bit-identical to its isolated run.
+//!
 //! The paper's fixed shapes are thin constructors over this machine:
 //! [`DualCoreSystem`](crate::DualCoreSystem) is `Topology::duo()` driven
 //! by the same schedulers, and its byte-for-byte behavior is locked
@@ -19,7 +26,7 @@ use ampsched_core::{
     AssignmentMap, CoreTraits, DecisionExplain, TopoDecision, TopoScheduler, TopoSnapshot,
     TopoThreadObs, ThreadWindow,
 };
-use ampsched_cpu::{Core, CoreConfig, CoreFlavor};
+use ampsched_cpu::{ActivityCounters, Core, CoreConfig, CoreFlavor};
 use ampsched_isa::{MixCounts, OpClass};
 use ampsched_mem::MemSystem;
 use ampsched_metrics::ThreadMetrics;
@@ -238,166 +245,75 @@ struct PeriodBase {
     mix: Vec<MixCounts>,
 }
 
-/// The generalized asymmetric multicore and its scheduling loop.
-pub struct MulticoreSystem {
+/// What every lane over one shape reads but never changes.
+struct Spec {
     cfg: SystemConfig,
-    cores: Vec<Core>,
     traits: Vec<CoreTraits>,
-    mem: MemSystem,
-    energy: Vec<EnergyAccount>,
-    /// Workloads indexed by *thread id*.
-    workloads: Vec<Box<dyn Workload>>,
-    assignment: AssignmentMap,
-    cycle: u64,
-    thread_insts: Vec<u64>,
-    thread_joules: Vec<f64>,
-    /// Joules accounted on cores with no occupant (always 0 with the
-    /// current energy model — idle cores are never ticked — but kept so
-    /// conservation checks would catch a model change).
-    unattributed_joules: f64,
-    swaps: u64,
-    migrations: u64,
+    /// Unit conversions use core 0's clock (the whole topology runs one
+    /// clock domain, as in the paper).
     frequency_hz: f64,
 }
 
-impl MulticoreSystem {
-    /// Build a system over `topology`, running `workloads[t]` as thread
-    /// `t`. Threads start on the OS baseline assignment (thread `t` on
-    /// core `t`, overflow parked).
-    pub fn new(cfg: SystemConfig, topology: &Topology, workloads: Vec<Box<dyn Workload>>) -> Self {
+impl Spec {
+    fn new(cfg: SystemConfig, topology: &Topology) -> Self {
         topology.validate();
-        assert_eq!(
-            workloads.len(),
-            topology.threads,
-            "one workload per thread required"
-        );
-        // Unit conversions use core 0's clock (the whole topology runs
-        // one clock domain, as in the paper).
-        let frequency_hz = topology.cores[0].frequency_ghz * 1e9;
-        let energy: Vec<EnergyAccount> = topology
-            .cores
-            .iter()
-            .map(|c| EnergyAccount::new(EnergyModel::new(c, &cfg.mem)))
-            .collect();
-        MulticoreSystem {
+        Spec {
+            cfg,
+            traits: topology.traits(),
+            frequency_hz: topology.cores[0].frequency_ghz * 1e9,
+        }
+    }
+}
+
+/// The state lanes share while their decisions agree: cores, memory,
+/// assignment, clock and every thread's progress. A clone is the fork
+/// point of lanes that diverge.
+#[derive(Clone)]
+struct Machine {
+    cores: Vec<Core>,
+    mem: MemSystem,
+    assignment: AssignmentMap,
+    cycle: u64,
+    thread_insts: Vec<u64>,
+    /// Ops each thread's workload has handed out: the stream position a
+    /// forked lane moves its own workloads to.
+    pulled: Vec<u64>,
+}
+
+impl Machine {
+    /// A cold machine of `topology` on the OS baseline assignment.
+    fn new(cfg: &SystemConfig, topology: &Topology) -> Self {
+        Machine {
             cores: topology
                 .cores
                 .iter()
                 .enumerate()
                 .map(|(i, c)| Core::new(c.clone(), i))
                 .collect(),
-            traits: topology.traits(),
             mem: MemSystem::new(cfg.mem, topology.cores.len()),
-            energy,
             assignment: AssignmentMap::baseline(topology.cores.len(), topology.threads),
             cycle: 0,
             thread_insts: vec![0; topology.threads],
-            thread_joules: vec![0.0; topology.threads],
-            unattributed_joules: 0.0,
-            swaps: 0,
-            migrations: 0,
-            frequency_hz,
-            workloads,
-            cfg,
+            pulled: vec![0; topology.threads],
         }
     }
 
-    /// Build a system like [`MulticoreSystem::new`] but starting from an
-    /// explicit assignment instead of the OS baseline — the replay hook
-    /// the offline oracle uses to measure each pinned placement from
-    /// cycle 0 without paying a migration to reach it. Thread `t` still
-    /// runs `workloads[t]`, so per-thread trace streams are unaffected.
-    pub fn with_assignment(
-        cfg: SystemConfig,
-        topology: &Topology,
-        workloads: Vec<Box<dyn Workload>>,
-        initial: AssignmentMap,
-    ) -> Self {
-        assert_eq!(initial.cores(), topology.cores.len(), "assignment core count mismatch");
-        assert_eq!(initial.threads(), topology.threads, "assignment thread count mismatch");
-        initial.validate().expect("initial assignment must be valid");
-        let mut sys = MulticoreSystem::new(cfg, topology, workloads);
-        sys.assignment = initial;
-        sys
-    }
-
-    /// Current thread→core assignment.
-    pub fn assignment(&self) -> &AssignmentMap {
-        &self.assignment
-    }
-
-    /// Current cycle.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Number of cores.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// Per-thread committed instructions so far.
-    pub fn thread_instructions(&self) -> &[u64] {
-        &self.thread_insts
-    }
-
-    /// Reassignment events so far.
-    pub fn swaps(&self) -> u64 {
-        self.swaps
-    }
-
-    /// Individual thread migrations so far.
-    pub fn migrations(&self) -> u64 {
-        self.migrations
-    }
-
-    /// Per-core microarchitectural state digests (differential-testing
-    /// hook).
-    pub fn core_digests(&self) -> Vec<u64> {
-        self.cores.iter().map(|c| c.state_digest()).collect()
-    }
-
-    /// Total joules accounted across all cores (conservation checks:
-    /// equals the sum of thread-attributed joules plus
-    /// [`unattributed`](Self::unattributed_joules)).
-    pub fn accounted_joules(&self) -> f64 {
-        self.energy.iter().map(|e| e.total_joules()).sum()
-    }
-
-    /// Joules accounted on occupant-less cores (0 with the current
-    /// model).
-    pub fn unattributed_joules(&self) -> f64 {
-        self.unattributed_joules
-    }
-
-    /// Convert outstanding core activity into attributed joules. Must be
-    /// called before reading `thread_joules` or migrating threads.
-    fn settle_energy(&mut self) {
-        for c in 0..self.cores.len() {
-            let act = self.cores[c].activity.take();
-            let j = self.energy[c].account(&act);
-            match self.assignment.thread_on(c) {
-                Some(t) => self.thread_joules[t] += j,
-                None => self.unattributed_joules += j,
-            }
-        }
-    }
-
-    fn period_base(&self) -> PeriodBase {
+    fn period_base(&self, books: &Books) -> PeriodBase {
         PeriodBase {
             cycle: self.cycle,
             insts: self.thread_insts.clone(),
-            joules: self.thread_joules.clone(),
+            joules: books.thread_joules.clone(),
             mix: self.cores.iter().map(|c| c.stats.committed).collect(),
         }
     }
 
-    /// Build the decision-point snapshot for the period since `base`.
-    /// Energy must be settled first. The assignment is constant within a
-    /// period (every reassignment re-bases both periods), so each
-    /// running thread's mix window reads the core it currently occupies.
-    fn snapshot(&self, base: &PeriodBase) -> TopoSnapshot {
-        let threads = (0..self.workloads.len())
+    /// Build a lane's decision-point snapshot for the period since
+    /// `base`. The lane's energy must be settled first. The assignment is
+    /// constant within a period (every reassignment re-bases both
+    /// periods), so each running thread's mix window reads the core it
+    /// currently occupies.
+    fn snapshot(&self, spec: &Spec, books: &Books, base: &PeriodBase) -> TopoSnapshot {
+        let threads = (0..self.thread_insts.len())
             .map(|t| {
                 let window = match self.assignment.core_of(t) {
                     Some(c) => {
@@ -409,7 +325,7 @@ impl MulticoreSystem {
                             branch_pct: mix.branch_pct(),
                             instructions: self.thread_insts[t] - base.insts[t],
                             cycles: self.cycle - base.cycle,
-                            joules: self.thread_joules[t] - base.joules[t],
+                            joules: books.thread_joules[t] - base.joules[t],
                         }
                     }
                     // Parked the whole period: no committed mix, no core
@@ -429,17 +345,17 @@ impl MulticoreSystem {
         TopoSnapshot {
             cycle: self.cycle,
             assignment: self.assignment.clone(),
-            cores: self.traits.clone(),
+            cores: spec.traits.clone(),
             threads,
         }
     }
 
-    /// Build the audit-trail record for one decision point.
+    /// The audit-trail record of one decision point that kept the
+    /// assignment; [`Run::commit`] fills in a reassignment.
     fn decision_record(
         &self,
+        spec: &Spec,
         kind: DecisionKind,
-        changed: bool,
-        migrated: Vec<usize>,
         snap: &TopoSnapshot,
         explain: Option<DecisionExplain>,
     ) -> TopoDecisionRecord {
@@ -455,7 +371,7 @@ impl MulticoreSystem {
                 };
                 // Same formula as ThreadMetrics::ipc_per_watt —
                 // (insts/cycles) / (joules·f/cycles) = insts / (f·joules).
-                let denom = self.frequency_hz * w.joules;
+                let denom = spec.frequency_hz * w.joules;
                 let ipc_per_watt = if w.cycles > 0 && denom > 0.0 {
                     w.instructions as f64 / denom
                 } else {
@@ -474,12 +390,12 @@ impl MulticoreSystem {
         TopoDecisionRecord {
             cycle: self.cycle,
             kind,
-            changed,
-            migrated,
-            assignment: (0..self.workloads.len()).map(|t| self.assignment.core_of(t)).collect(),
+            changed: false,
+            migrated: Vec::new(),
+            assignment: self.table(),
             threads,
             explain,
-            swap_cost_cycles: if changed { self.cfg.swap_overhead_cycles } else { 0 },
+            swap_cost_cycles: 0,
             realized_speedup: None,
             mispredict: None,
             oracle_action: None,
@@ -487,24 +403,18 @@ impl MulticoreSystem {
         }
     }
 
+    /// Thread→core table of the current assignment (`None` = parked).
+    fn table(&self) -> Vec<Option<usize>> {
+        (0..self.thread_insts.len()).map(|t| self.assignment.core_of(t)).collect()
+    }
+
     /// Adopt `next`, charging the per-assignment migration cost: every
     /// core whose occupant changed is flushed and stalled for the swap
     /// overhead (and optionally loses its L1). Cores untouched by the
     /// reassignment keep running undisturbed.
-    fn apply_assignment(&mut self, next: AssignmentMap, kind: DecisionKind) {
-        assert_eq!(next.cores(), self.cores.len(), "reassignment changes the core count");
-        assert_eq!(next.threads(), self.workloads.len(), "reassignment changes the thread count");
-        next.validate().expect("scheduler produced an invalid assignment");
-        if kind == DecisionKind::Window {
-            assert!(
-                next.same_parked_set(&self.assignment),
-                "window decisions must not change the parked set (epoch-boundary contract)"
-            );
-        }
-        // Energy up to the migration belongs to the old assignment.
-        self.settle_energy();
-        let moved = next.moved_threads(&self.assignment);
-        let mut affected: Vec<usize> = moved
+    fn reassign(&mut self, next: AssignmentMap, cfg: &SystemConfig) {
+        let mut affected: Vec<usize> = next
+            .moved_threads(&self.assignment)
             .iter()
             .flat_map(|&t| [self.assignment.core_of(t), next.core_of(t)])
             .flatten()
@@ -513,57 +423,547 @@ impl MulticoreSystem {
         affected.dedup();
         for &c in &affected {
             self.cores[c].flush_pipeline();
-            self.cores[c].stall_until(self.cycle + self.cfg.swap_overhead_cycles);
+            self.cores[c].stall_until(self.cycle + cfg.swap_overhead_cycles);
         }
-        if self.cfg.flush_l1_on_swap {
+        if cfg.flush_l1_on_swap {
             for &c in &affected {
                 self.mem.flush_core_l1s(c);
             }
         }
         self.assignment = next;
-        self.swaps += 1;
-        self.migrations += moved.len() as u64;
-        ampsched_obs::counter!("sim.swap");
+    }
+}
+
+/// One scheduler's energy and reassignment books.
+struct Books {
+    energy: Vec<EnergyAccount>,
+    /// Per-core activity not yet settled into this lane's joules. Lanes
+    /// sharing a machine each receive all of its activity; the counts
+    /// are integers, so a lane settles exactly what its core would have
+    /// accumulated in an isolated run.
+    activity: Vec<ActivityCounters>,
+    thread_joules: Vec<f64>,
+    /// Joules accounted on cores with no occupant (always 0 with the
+    /// current energy model — idle cores are never ticked — but kept so
+    /// conservation checks would catch a model change).
+    unattributed_joules: f64,
+    swaps: u64,
+    migrations: u64,
+}
+
+impl Books {
+    fn new(cfg: &SystemConfig, topology: &Topology) -> Self {
+        Books {
+            energy: topology
+                .cores
+                .iter()
+                .map(|c| EnergyAccount::new(EnergyModel::new(c, &cfg.mem)))
+                .collect(),
+            activity: vec![ActivityCounters::default(); topology.cores.len()],
+            thread_joules: vec![0.0; topology.threads],
+            unattributed_joules: 0.0,
+            swaps: 0,
+            migrations: 0,
+        }
     }
 
-    /// One decision point of `kind`: settle energy, snapshot the period
-    /// since `base`, ask the scheduler, adopt a changed assignment (which
-    /// re-bases the `other` period), and re-base `base`.
-    fn decision_point(
-        &mut self,
-        kind: DecisionKind,
-        scheduler: &mut dyn TopoScheduler,
-        base: &mut PeriodBase,
-        other: &mut PeriodBase,
-    ) -> TopoDecisionRecord {
-        self.settle_energy();
-        let snap = self.snapshot(base);
+    /// Convert outstanding activity into joules attributed under
+    /// `assignment`. Must precede reading `thread_joules` or migrating.
+    fn settle(&mut self, assignment: &AssignmentMap) {
+        for (c, (act, energy)) in self.activity.iter_mut().zip(&mut self.energy).enumerate() {
+            let j = energy.account(&act.take());
+            match assignment.thread_on(c) {
+                Some(t) => self.thread_joules[t] += j,
+                None => self.unattributed_joules += j,
+            }
+        }
+    }
+}
+
+/// One scheduler of a run and its per-run bookkeeping.
+struct LaneRun<'a> {
+    sched: &'a mut dyn TopoScheduler,
+    books: &'a mut Books,
+    window: Option<u64>,
+    window_base: PeriodBase,
+    epoch_base: PeriodBase,
+    decisions: Vec<TopoDecisionRecord>,
+    start_joules: Vec<f64>,
+    start_swaps: u64,
+    start_migrations: u64,
+    /// The record of the decision point being resolved, when this lane
+    /// decided at it.
+    open: Option<TopoDecisionRecord>,
+    /// The assignment that decision moves to (`None`: it keeps the
+    /// current one).
+    to: Option<AssignmentMap>,
+}
+
+impl LaneRun<'_> {
+    /// Whether the lane's monitoring window has filled: committed
+    /// instructions summed over all threads since its window base.
+    fn window_due(&self, m: &Machine) -> bool {
+        self.window.is_some_and(|w| {
+            let committed: u64 = m
+                .thread_insts
+                .iter()
+                .zip(&self.window_base.insts)
+                .map(|(now, base)| now - base)
+                .sum();
+            committed >= w
+        })
+    }
+
+    /// Settle energy, snapshot the period since the `kind` base and ask
+    /// the scheduler. The record stays open, and the assignment chosen
+    /// waits in `to`, until the group resolves the decision point.
+    fn decide(&mut self, kind: DecisionKind, spec: &Spec, m: &Machine) {
+        self.books.settle(&m.assignment);
+        let base = match kind {
+            DecisionKind::Window => &self.window_base,
+            DecisionKind::Epoch => &self.epoch_base,
+        };
+        let snap = m.snapshot(spec, self.books, base);
         let decision = match kind {
             DecisionKind::Window => {
                 ampsched_obs::counter!("sim.decision.window");
-                scheduler.on_window(&snap)
+                self.sched.on_window(&snap)
             }
             DecisionKind::Epoch => {
                 ampsched_obs::counter!("sim.decision.epoch");
-                scheduler.on_epoch(&snap)
+                self.sched.on_epoch(&snap)
             }
         };
-        let (changed, migrated) = match decision {
-            TopoDecision::Reassign(next) if next != self.assignment => {
-                let migrated = next.moved_threads(&self.assignment);
-                self.apply_assignment(next, kind);
-                *other = self.period_base();
-                (true, migrated)
+        self.to = match decision {
+            TopoDecision::Reassign(next) if next != m.assignment => {
+                assert_eq!(next.cores(), m.cores.len(), "reassignment changes the core count");
+                assert_eq!(
+                    next.threads(),
+                    m.thread_insts.len(),
+                    "reassignment changes the thread count"
+                );
+                next.validate().expect("scheduler produced an invalid assignment");
+                if kind == DecisionKind::Window {
+                    assert!(
+                        next.same_parked_set(&m.assignment),
+                        "window decisions must not change the parked set (epoch-boundary contract)"
+                    );
+                }
+                Some(next)
             }
-            _ => (false, Vec::new()),
+            _ => None,
         };
-        let record = self.decision_record(kind, changed, migrated, &snap, scheduler.explain_last());
-        *base = self.period_base();
-        record
+        self.open = Some(m.decision_record(spec, kind, &snap, self.sched.explain_last()));
+    }
+
+    /// Close the run on `m`: settle, attribute, and total up.
+    fn finish(
+        &mut self,
+        spec: &Spec,
+        m: &Machine,
+        start_cycle: u64,
+        start_insts: &[u64],
+    ) -> TopoRunResult {
+        self.books.settle(&m.assignment);
+        let mut decisions = std::mem::take(&mut self.decisions);
+        attribute_mispredictions(&mut decisions);
+        ampsched_obs::counter!("sim.run");
+        ampsched_obs::hist!("sim.run.cycles", m.cycle - start_cycle);
+        let cycles = m.cycle - start_cycle;
+        let count = |kind| decisions.iter().filter(|d| d.kind == kind).count() as u64;
+        let threads = (0..m.thread_insts.len())
+            .map(|t| ThreadMetrics {
+                instructions: m.thread_insts[t] - start_insts[t],
+                cycles,
+                joules: self.books.thread_joules[t] - self.start_joules[t],
+                frequency_hz: spec.frequency_hz,
+            })
+            .collect();
+        TopoRunResult {
+            scheduler: self.sched.name().to_string(),
+            cycles,
+            threads,
+            swaps: self.books.swaps - self.start_swaps,
+            migrations: self.books.migrations - self.start_migrations,
+            window_decisions: count(DecisionKind::Window),
+            epoch_decisions: count(DecisionKind::Epoch),
+            decisions,
+        }
+    }
+}
+
+/// Move the machine's outstanding core activity onto the books of every
+/// lane sharing it.
+fn drain(m: &mut Machine, members: &[usize], lanes: &mut [LaneRun]) {
+    for (c, core) in m.cores.iter_mut().enumerate() {
+        let act = core.activity.take();
+        for &l in members {
+            lanes[l].books.activity[c].merge(&act);
+        }
+    }
+}
+
+/// The lanes running together on one machine, and where their loop
+/// resumes.
+struct Group {
+    /// Lane indices, ascending; the first leads the group and keeps its
+    /// machine at every fork.
+    members: Vec<usize>,
+    next_epoch: u64,
+    /// The group forked at a window decision point and resumes at that
+    /// loop iteration's epoch check.
+    at_epoch: bool,
+}
+
+/// One call's lanes and the limits every group of it shares.
+struct Run<'a> {
+    spec: &'a Spec,
+    start_cycle: u64,
+    start_insts: Vec<u64>,
+    target_insts: u64,
+    max_cycles: u64,
+    lanes: Vec<LaneRun<'a>>,
+    /// Groups that forked off and wait for a run of their own.
+    forks: Vec<(Machine, Group)>,
+    results: Vec<Option<TopoRunResult>>,
+}
+
+impl<'a> Run<'a> {
+    /// Start `lanes` together on `m`. Window/epoch bookkeeping restarts
+    /// per call while core, memory, and counter state persist.
+    fn new(
+        spec: &'a Spec,
+        m: &mut Machine,
+        lanes: Vec<(&'a mut dyn TopoScheduler, &'a mut Books)>,
+        target_insts: u64,
+        max_cycles: u64,
+    ) -> (Self, Group) {
+        let mut lanes: Vec<LaneRun<'a>> = lanes
+            .into_iter()
+            .map(|(sched, books)| LaneRun {
+                window: sched.window_insts(),
+                window_base: m.period_base(books),
+                epoch_base: m.period_base(books),
+                decisions: Vec::new(),
+                start_joules: Vec::new(),
+                start_swaps: books.swaps,
+                start_migrations: books.migrations,
+                open: None,
+                to: None,
+                sched,
+                books,
+            })
+            .collect();
+        let members: Vec<usize> = (0..lanes.len()).collect();
+        drain(m, &members, &mut lanes);
+        for lane in &mut lanes {
+            lane.books.settle(&m.assignment);
+            lane.start_joules = lane.books.thread_joules.clone();
+        }
+        let run = Run {
+            spec,
+            start_cycle: m.cycle,
+            start_insts: m.thread_insts.clone(),
+            target_insts,
+            max_cycles,
+            results: (0..lanes.len()).map(|_| None).collect(),
+            lanes,
+            forks: Vec::new(),
+        };
+        let group = Group {
+            members,
+            next_epoch: m.cycle + spec.cfg.epoch_cycles,
+            at_epoch: false,
+        };
+        (run, group)
+    }
+
+    /// The scheduling loop: run group `g` on `m`, driving thread `t` with
+    /// `workloads[t]`, until one thread commits `target_insts`
+    /// instructions or `max_cycles` elapse. Lanes that diverge fork off
+    /// into `forks`; the lanes still in `g` at the end get their results.
+    fn run_group(&mut self, m: &mut Machine, g: &mut Group, workloads: &mut [Box<dyn Workload>]) {
+        let _span = ampsched_obs::span!("system.run");
+        let spec = self.spec;
+        let mut sampler = PipeSampler::new(m.cycle);
+        let mut at_epoch = std::mem::take(&mut g.at_epoch);
+        loop {
+            if !at_epoch {
+                if !(m
+                    .thread_insts
+                    .iter()
+                    .zip(&self.start_insts)
+                    .all(|(now, start)| now - start < self.target_insts)
+                    && m.cycle - self.start_cycle < self.max_cycles)
+                {
+                    break;
+                }
+
+                // Joint skip: every occupied core certified quiescent. A
+                // core with no occupant is never stepped (its pipeline is
+                // empty after the migration flush), so it never bounds
+                // the jump.
+                let q = (0..m.cores.len())
+                    .filter(|&c| m.assignment.thread_on(c).is_some())
+                    .map(|c| m.cores[c].quiet_until())
+                    .min()
+                    .unwrap_or(u64::MAX);
+                if q > m.cycle {
+                    let target = q
+                        .min(g.next_epoch - 1)
+                        .min(self.start_cycle + self.max_cycles - 1);
+                    if target > m.cycle {
+                        let n = target - m.cycle;
+                        for (c, core) in m.cores.iter_mut().enumerate() {
+                            if m.assignment.thread_on(c).is_some() {
+                                core.fast_forward(m.cycle, n);
+                            }
+                        }
+                        m.cycle = target;
+                        // Every lane sharing the skip counts it, as its
+                        // own run would have.
+                        ampsched_obs::counter!("sim.skip.joint", g.members.len());
+                        for _ in &g.members {
+                            ampsched_obs::hist!("sim.skip.joint_cycles", n);
+                        }
+                        sampler.catch_up(m.cycle, &m.cores);
+                    }
+                }
+
+                // One cycle on every occupied core.
+                for c in 0..m.cores.len() {
+                    let Some(t) = m.assignment.thread_on(c) else {
+                        continue;
+                    };
+                    let core = &mut m.cores[c];
+                    let pulled = core.ops_pulled();
+                    let n = core.step(m.cycle, spec.cfg.sim_path, &mut *workloads[t], &mut m.mem);
+                    m.pulled[t] += core.ops_pulled() - pulled;
+                    m.thread_insts[t] += n as u64;
+                }
+                m.cycle += 1;
+                sampler.catch_up(m.cycle, &m.cores);
+
+                // Fine-grained window boundaries, each lane on its own
+                // window (committed instructions summed over all threads).
+                let mut decided = false;
+                for &l in &g.members {
+                    if self.lanes[l].window_due(m) {
+                        if !decided {
+                            drain(m, &g.members, &mut self.lanes);
+                            decided = true;
+                        }
+                        self.lanes[l].decide(DecisionKind::Window, spec, m);
+                    }
+                }
+                if decided {
+                    self.resolve(DecisionKind::Window, m, g);
+                }
+            }
+            at_epoch = false;
+
+            // OS epoch boundary: every lane decides.
+            if m.cycle >= g.next_epoch {
+                drain(m, &g.members, &mut self.lanes);
+                for &l in &g.members {
+                    self.lanes[l].decide(DecisionKind::Epoch, spec, m);
+                }
+                g.next_epoch += spec.cfg.epoch_cycles;
+                self.resolve(DecisionKind::Epoch, m, g);
+            }
+        }
+
+        drain(m, &g.members, &mut self.lanes);
+        for &l in &g.members {
+            let result = self.lanes[l].finish(spec, m, self.start_cycle, &self.start_insts);
+            self.results[l] = Some(result);
+        }
+    }
+
+    /// Resolve a decision point of group `g`. Lanes that keep the
+    /// assignment, or move to the same one, stay together. Every other
+    /// set of agreeing lanes forks onto a clone of `m` taken before
+    /// anyone moved; the set holding the group's leader keeps `m`.
+    fn resolve(&mut self, kind: DecisionKind, m: &mut Machine, g: &mut Group) {
+        let mut split: Vec<(Option<AssignmentMap>, Vec<usize>)> = Vec::new();
+        for &l in &g.members {
+            let to = self.lanes[l].to.take();
+            match split.iter_mut().find(|(t, _)| *t == to) {
+                Some((_, members)) => members.push(l),
+                None => split.push((to, vec![l])),
+            }
+        }
+        let mut split = split.into_iter();
+        let (to, members) = split.next().expect("a group has a lane");
+        for (fork_to, fork_members) in split {
+            let mut fork = m.clone();
+            self.commit(kind, &mut fork, fork_to, &fork_members);
+            let group = Group {
+                members: fork_members,
+                next_epoch: g.next_epoch,
+                at_epoch: kind == DecisionKind::Window,
+            };
+            self.forks.push((fork, group));
+        }
+        g.members = members;
+        self.commit(kind, m, to, &g.members);
+    }
+
+    /// Apply one agreed decision to `m` for `members`, and close the
+    /// records of those that decided: a reassignment settles their
+    /// energy under the old assignment, moves the threads, counts a swap
+    /// per lane and re-bases the other period; every record re-bases its
+    /// own period.
+    fn commit(
+        &mut self,
+        kind: DecisionKind,
+        m: &mut Machine,
+        to: Option<AssignmentMap>,
+        members: &[usize],
+    ) {
+        let migrated = to.as_ref().map(|next| next.moved_threads(&m.assignment));
+        if let Some(next) = to {
+            // Energy up to the migration belongs to the old assignment.
+            drain(m, members, &mut self.lanes);
+            for &l in members {
+                self.lanes[l].books.settle(&m.assignment);
+            }
+            m.reassign(next, &self.spec.cfg);
+        }
+        for &l in members {
+            let lane = &mut self.lanes[l];
+            let Some(mut record) = lane.open.take() else {
+                continue;
+            };
+            let (base, other) = match kind {
+                DecisionKind::Window => (&mut lane.window_base, &mut lane.epoch_base),
+                DecisionKind::Epoch => (&mut lane.epoch_base, &mut lane.window_base),
+            };
+            if let Some(moved) = &migrated {
+                lane.books.swaps += 1;
+                lane.books.migrations += moved.len() as u64;
+                ampsched_obs::counter!("sim.swap");
+                *other = m.period_base(lane.books);
+                record.changed = true;
+                record.migrated = moved.clone();
+                record.assignment = m.table();
+                record.swap_cost_cycles = self.spec.cfg.swap_overhead_cycles;
+            }
+            *base = m.period_base(lane.books);
+            lane.decisions.push(record);
+        }
+    }
+}
+
+/// One scheduler of a [`MulticoreSystem::run_lanes`] call, with its own
+/// copy of the threads' workloads (`workloads[t]` runs as thread `t`).
+pub struct Lane {
+    /// The lane's scheduler.
+    pub scheduler: Box<dyn TopoScheduler>,
+    /// The lane's workloads, read only once the lane leaves the machine
+    /// it shares with the first lane.
+    pub workloads: Vec<Box<dyn Workload>>,
+}
+
+/// The generalized asymmetric multicore and its scheduling loop.
+pub struct MulticoreSystem {
+    spec: Spec,
+    machine: Machine,
+    /// Workloads indexed by *thread id*.
+    workloads: Vec<Box<dyn Workload>>,
+    books: Books,
+}
+
+impl MulticoreSystem {
+    /// Build a system over `topology`, running `workloads[t]` as thread
+    /// `t`. Threads start on the OS baseline assignment (thread `t` on
+    /// core `t`, overflow parked).
+    pub fn new(cfg: SystemConfig, topology: &Topology, workloads: Vec<Box<dyn Workload>>) -> Self {
+        let spec = Spec::new(cfg, topology);
+        assert_eq!(
+            workloads.len(),
+            topology.threads,
+            "one workload per thread required"
+        );
+        MulticoreSystem {
+            machine: Machine::new(&cfg, topology),
+            books: Books::new(&cfg, topology),
+            workloads,
+            spec,
+        }
+    }
+
+    /// Build a system like [`MulticoreSystem::new`] but starting from an
+    /// explicit assignment instead of the OS baseline — the replay hook
+    /// the offline oracle uses to measure each pinned placement from
+    /// cycle 0 without paying a migration to reach it. Thread `t` still
+    /// runs `workloads[t]`, so per-thread trace streams are unaffected.
+    pub fn with_assignment(
+        cfg: SystemConfig,
+        topology: &Topology,
+        workloads: Vec<Box<dyn Workload>>,
+        initial: AssignmentMap,
+    ) -> Self {
+        assert_eq!(initial.cores(), topology.cores.len(), "assignment core count mismatch");
+        assert_eq!(initial.threads(), topology.threads, "assignment thread count mismatch");
+        initial.validate().expect("initial assignment must be valid");
+        let mut sys = MulticoreSystem::new(cfg, topology, workloads);
+        sys.machine.assignment = initial;
+        sys
+    }
+
+    /// Current thread→core assignment.
+    pub fn assignment(&self) -> &AssignmentMap {
+        &self.machine.assignment
+    }
+
+    /// Current cycle.
+    pub fn cycle(&self) -> u64 {
+        self.machine.cycle
+    }
+
+    /// Number of cores.
+    pub fn num_cores(&self) -> usize {
+        self.machine.cores.len()
+    }
+
+    /// Per-thread committed instructions so far.
+    pub fn thread_instructions(&self) -> &[u64] {
+        &self.machine.thread_insts
+    }
+
+    /// Reassignment events so far.
+    pub fn swaps(&self) -> u64 {
+        self.books.swaps
+    }
+
+    /// Individual thread migrations so far.
+    pub fn migrations(&self) -> u64 {
+        self.books.migrations
+    }
+
+    /// Per-core microarchitectural state digests (differential-testing
+    /// hook).
+    pub fn core_digests(&self) -> Vec<u64> {
+        self.machine.cores.iter().map(|c| c.state_digest()).collect()
+    }
+
+    /// Total joules accounted across all cores (conservation checks:
+    /// equals the sum of thread-attributed joules plus
+    /// [`unattributed`](Self::unattributed_joules)).
+    pub fn accounted_joules(&self) -> f64 {
+        self.books.energy.iter().map(|e| e.total_joules()).sum()
+    }
+
+    /// Joules accounted on occupant-less cores (0 with the current
+    /// model).
+    pub fn unattributed_joules(&self) -> f64 {
+        self.books.unattributed_joules
     }
 
     /// Run under `scheduler` until one thread commits `target_insts`
-    /// instructions or `max_cycles` elapses. Re-entrant: window/epoch
+    /// instructions or `max_cycles` elapses: the one-lane case of
+    /// [`MulticoreSystem::run_lanes`]. Re-entrant: window/epoch
     /// bookkeeping restarts per call while core, memory, and counter
     /// state persist (the lockstep soak drives this in chunks).
     pub fn run(
@@ -572,123 +972,81 @@ impl MulticoreSystem {
         target_insts: u64,
         max_cycles: u64,
     ) -> TopoRunResult {
-        let _span = ampsched_obs::span!("system.run");
-        let window = scheduler.window_insts();
-        let mut window_base = self.period_base();
-        let mut epoch_base = self.period_base();
-        let mut next_epoch = self.cycle + self.cfg.epoch_cycles;
-        let mut decisions = Vec::new();
-        let start_cycle = self.cycle;
-        let (start_swaps, start_migrations) = (self.swaps, self.migrations);
-        let start_insts = self.thread_insts.clone();
-        let start_joules_settled = {
-            self.settle_energy();
-            self.thread_joules.clone()
-        };
-        let mut sampler = PipeSampler::new(self.cycle);
+        let lanes: Vec<(&mut dyn TopoScheduler, &mut Books)> = vec![(scheduler, &mut self.books)];
+        let (mut run, mut group) =
+            Run::new(&self.spec, &mut self.machine, lanes, target_insts, max_cycles);
+        run.run_group(&mut self.machine, &mut group, &mut self.workloads);
+        assert!(run.forks.is_empty(), "one lane never forks");
+        run.results.pop().flatten().expect("the lane finished")
+    }
 
-        while self
-            .thread_insts
-            .iter()
-            .zip(start_insts.iter())
-            .all(|(now, start)| now - start < target_insts)
-            && self.cycle - start_cycle < max_cycles
-        {
-            // Joint skip: every occupied core certified quiescent. A core
-            // with no occupant is never stepped (its pipeline is empty
-            // after the migration flush), so it never bounds the jump.
-            let q = (0..self.cores.len())
-                .filter(|&c| self.assignment.thread_on(c).is_some())
-                .map(|c| self.cores[c].quiet_until())
-                .min()
-                .unwrap_or(u64::MAX);
-            if q > self.cycle {
-                let target = q.min(next_epoch - 1).min(start_cycle + max_cycles - 1);
-                if target > self.cycle {
-                    let n = target - self.cycle;
-                    for (c, core) in self.cores.iter_mut().enumerate() {
-                        if self.assignment.thread_on(c).is_some() {
-                            core.fast_forward(self.cycle, n);
-                        }
-                    }
-                    self.cycle = target;
-                    ampsched_obs::counter!("sim.skip.joint");
-                    ampsched_obs::hist!("sim.skip.joint_cycles", n);
-                    sampler.catch_up(self.cycle, &self.cores);
-                }
-            }
-
-            // One cycle on every occupied core.
-            for c in 0..self.cores.len() {
-                let Some(t) = self.assignment.thread_on(c) else {
-                    continue;
-                };
-                let n = self.cores[c].step(
-                    self.cycle,
-                    self.cfg.sim_path,
-                    &mut *self.workloads[t],
-                    &mut self.mem,
-                );
-                self.thread_insts[t] += n as u64;
-            }
-            self.cycle += 1;
-            sampler.catch_up(self.cycle, &self.cores);
-
-            // Fine-grained window boundary (committed instructions summed
-            // over all threads).
-            if let Some(w) = window {
-                let committed_since: u64 = self
-                    .thread_insts
-                    .iter()
-                    .zip(window_base.insts.iter())
-                    .map(|(now, base)| now - base)
-                    .sum();
-                if committed_since >= w {
-                    decisions.push(self.decision_point(
-                        DecisionKind::Window,
-                        scheduler,
-                        &mut window_base,
-                        &mut epoch_base,
-                    ));
-                }
-            }
-
-            // OS epoch boundary.
-            if self.cycle >= next_epoch {
-                decisions.push(self.decision_point(
-                    DecisionKind::Epoch,
-                    scheduler,
-                    &mut epoch_base,
-                    &mut window_base,
-                ));
-                next_epoch += self.cfg.epoch_cycles;
-            }
+    /// Run every lane from one cold machine over `topology`, as if each
+    /// ran alone in a system of its own, and return their results in
+    /// lane order. Each result is bit-identical to the lane's isolated
+    /// [`MulticoreSystem::run`].
+    ///
+    /// Lanes share the machine while every decision leaves the assignment
+    /// alone or moves it to the same next assignment; where they
+    /// disagree, each set of agreeing lanes forks onto a clone of the
+    /// machine, so a common prefix is simulated once. The first lane's
+    /// workloads drive the shared machine; a forked group first reads its
+    /// leader's own workloads up to the fork point.
+    ///
+    /// `lane_span` is called when a group starts, for its leader, and the
+    /// value it returns is dropped when the group ends; then once for
+    /// each other lane finishing in the group, dropped at once. With
+    /// tracing spans, each lane gets one span and the spans never
+    /// overlap: the shared prefix falls in the first lane's. Pipeline
+    /// samples, when the profiler samples, are recorded once per machine:
+    /// run one lane per call to keep them per run.
+    pub fn run_lanes<G>(
+        cfg: SystemConfig,
+        topology: &Topology,
+        lanes: Vec<Lane>,
+        target_insts: u64,
+        max_cycles: u64,
+        lane_span: impl Fn() -> G,
+    ) -> Vec<TopoRunResult> {
+        let spec = Spec::new(cfg, topology);
+        let mut root = Machine::new(&cfg, topology);
+        let mut scheds = Vec::with_capacity(lanes.len());
+        let mut own = Vec::with_capacity(lanes.len());
+        for lane in lanes {
+            assert_eq!(
+                lane.workloads.len(),
+                topology.threads,
+                "one workload per thread required"
+            );
+            scheds.push(lane.scheduler);
+            own.push(Some(lane.workloads));
         }
-
-        self.settle_energy();
-        attribute_mispredictions(&mut decisions);
-        ampsched_obs::counter!("sim.run");
-        ampsched_obs::hist!("sim.run.cycles", self.cycle - start_cycle);
-        let cycles = self.cycle - start_cycle;
-        let count = |kind| decisions.iter().filter(|d| d.kind == kind).count() as u64;
-        let threads = (0..self.workloads.len())
-            .map(|t| ThreadMetrics {
-                instructions: self.thread_insts[t] - start_insts[t],
-                cycles,
-                joules: self.thread_joules[t] - start_joules_settled[t],
-                frequency_hz: self.frequency_hz,
-            })
+        let mut books: Vec<Books> = scheds.iter().map(|_| Books::new(&cfg, topology)).collect();
+        let lanes = scheds
+            .iter_mut()
+            .map(|s| &mut **s as &mut dyn TopoScheduler)
+            .zip(books.iter_mut())
             .collect();
-        TopoRunResult {
-            scheduler: scheduler.name().to_string(),
-            cycles,
-            threads,
-            swaps: self.swaps - start_swaps,
-            migrations: self.migrations - start_migrations,
-            window_decisions: count(DecisionKind::Window),
-            epoch_decisions: count(DecisionKind::Epoch),
-            decisions,
+        let (mut run, group) = Run::new(&spec, &mut root, lanes, target_insts, max_cycles);
+        let mut todo = vec![(root, group)];
+        while let Some((mut m, mut g)) = todo.pop() {
+            let span = lane_span();
+            let mut workloads = own[g.members[0]].take().expect("a lane leads one group");
+            for (w, &n) in workloads.iter_mut().zip(&m.pulled) {
+                for _ in 0..n {
+                    w.next_op();
+                }
+            }
+            run.run_group(&mut m, &mut g, &mut workloads);
+            drop(span);
+            for _ in 1..g.members.len() {
+                drop(lane_span());
+            }
+            todo.append(&mut run.forks);
         }
+        run.results
+            .into_iter()
+            .map(|r| r.expect("every lane finishes"))
+            .collect()
     }
 }
 
@@ -934,7 +1292,7 @@ mod tests {
         // A full 4-thread rotation moves every thread.
         assert_eq!(r.migrations, 4 * r.swaps);
         for d in r.decisions.iter().filter(|d| d.changed) {
-            assert_eq!(d.swap_cost_cycles, sys.cfg.swap_overhead_cycles);
+            assert_eq!(d.swap_cost_cycles, sys.spec.cfg.swap_overhead_cycles);
             assert!(!d.migrated.is_empty());
             assert_eq!(d.assignment.len(), 4);
         }
