@@ -491,6 +491,9 @@ fn main() {
         if !pipeline.is_empty() {
             println!("{pipeline}");
         }
+        if let Some(lanes) = render_lane_accounting() {
+            println!("{lanes}\n");
+        }
         let wall = t0.elapsed();
         println!(
             "trace provisioning: {:.3}s = {:.1}% of {:.1}s wall-clock ({trace_path_name})\n",
@@ -541,6 +544,24 @@ fn main() {
         }
     }
     eprintln!("[done in {:.1}s]", t0.elapsed().as_secs_f64());
+}
+
+/// The `kernel.lanes.*` lane accounting on one line; `None` when no run
+/// went through `MulticoreSystem::run_lanes`.
+fn render_lane_accounting() -> Option<String> {
+    let snap = ampsched_obs::metrics::snapshot().filtered("kernel.lanes.");
+    let get = |name: &str| snap.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v);
+    let lane_cycles = get("kernel.lanes.lane_cycles");
+    let sim_cycles = get("kernel.lanes.sim_cycles");
+    (lane_cycles > 0).then(|| {
+        format!(
+            "lanes: {sim_cycles} cycles simulated for {lane_cycles} lane-cycles ({:.1}%), \
+             {} forks, {} machines alive at the per-call peaks (summed)",
+            100.0 * sim_cycles as f64 / lane_cycles as f64,
+            get("kernel.lanes.forks"),
+            get("kernel.lanes.peak_machines"),
+        )
+    })
 }
 
 /// Aligned text table of the sampled per-core pipeline summaries; empty

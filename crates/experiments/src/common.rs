@@ -329,29 +329,58 @@ pub fn run_pair(pair: &Pair, kind: &SchedKind, predictors: &Predictors, params: 
         .expect("one run per kind")
 }
 
-/// Whether [`run_pairs`] runs every kind alone instead of as lanes.
+/// Whether [`run_lanes`] runs every lane alone instead of as lanes.
 static SOLO_RUNS: AtomicBool = AtomicBool::new(false);
 
-/// Make [`run_pairs`] run every kind alone (`--profile-sample`), so each
+/// Make [`run_lanes`] run every lane alone (`--profile-sample`), so each
 /// run's pipeline samples are its own; results are the same either way.
 pub fn set_solo_runs(on: bool) {
     SOLO_RUNS.store(on, Ordering::Relaxed);
 }
 
+/// Run `lanes` from one cold `system` over `topology` with the run
+/// limits of `params`, as [`MulticoreSystem::run_lanes`] does, and
+/// return their results in lane order. After [`set_solo_runs`]`(true)`
+/// every lane runs alone, so each run's pipeline samples stay its own.
+/// The one switch between the two for every caller.
+pub fn run_lanes<G>(
+    system: SystemConfig,
+    topology: &Topology,
+    lanes: Vec<Lane>,
+    params: &Params,
+    lane_span: impl Fn() -> G,
+) -> Vec<TopoRunResult> {
+    let run = |lanes: Vec<Lane>| {
+        MulticoreSystem::run_lanes(
+            system,
+            topology,
+            lanes,
+            params.run_insts,
+            params.max_cycles,
+            &lane_span,
+        )
+    };
+    if SOLO_RUNS.load(Ordering::Relaxed) {
+        lanes.into_iter().flat_map(|lane| run(vec![lane])).collect()
+    } else {
+        run(lanes)
+    }
+}
+
 /// Run one pair under each of `kinds`, every run from the same cold
 /// system, and return the runs in `kinds` order. The runs are lanes of
-/// one simulation ([`MulticoreSystem::run_lanes`]): their common prefix
-/// is simulated once, and each result is bit-identical to the kind's
-/// isolated run. Each kind builds its own workloads up front, so the
-/// pair's instruction streams come from the shared trace arena (or live
+/// one simulation ([`run_lanes`]): their common prefix is simulated
+/// once, and each result is bit-identical to the kind's isolated run.
+/// Each kind builds its own workloads up front, so the pair's
+/// instruction streams come from the shared trace arena (or live
 /// generators) per `params.trace_path` exactly as separate runs would
 /// take them.
 ///
 /// Each kind gets one `experiments.run_pair <pair>` span; the spans never
-/// overlap and add up to the pair's simulation time (see `run_lanes`).
-/// Pipeline-profiler samples of a shared prefix are recorded once, like
-/// its simulation; after [`set_solo_runs`]`(true)` every kind runs alone
-/// so each run's samples stay its own.
+/// overlap and add up to the pair's simulation time (see
+/// `MulticoreSystem::run_lanes`). Pipeline-profiler samples of a shared
+/// prefix are recorded once, like its simulation, unless [`run_lanes`]
+/// runs every kind alone.
 pub fn run_pairs(
     pair: &Pair,
     kinds: &[SchedKind],
@@ -359,26 +388,16 @@ pub fn run_pairs(
     params: &Params,
 ) -> Vec<TopoRunResult> {
     let label = pair.label();
-    let lane_span = || ampsched_obs::span!("experiments.run_pair", label.as_str());
-    let lane = |kind: &SchedKind| Lane {
-        scheduler: kind.build(predictors),
-        workloads: pair.workloads(params).into(),
-    };
-    let run = |lanes: Vec<Lane>| {
-        MulticoreSystem::run_lanes(
-            params.system,
-            &Topology::duo(),
-            lanes,
-            params.run_insts,
-            params.max_cycles,
-            lane_span,
-        )
-    };
-    let results: Vec<TopoRunResult> = if SOLO_RUNS.load(Ordering::Relaxed) {
-        kinds.iter().flat_map(|kind| run(vec![lane(kind)])).collect()
-    } else {
-        run(kinds.iter().map(lane).collect())
-    };
+    let lanes = kinds
+        .iter()
+        .map(|kind| Lane {
+            scheduler: kind.build(predictors),
+            workloads: pair.workloads(params).into(),
+        })
+        .collect();
+    let results = run_lanes(params.system, &Topology::duo(), lanes, params, || {
+        ampsched_obs::span!("experiments.run_pair", label.as_str())
+    });
     // Observation only: the stream never feeds back into the run, so
     // reports stay byte-identical with or without a sink installed.
     for result in &results {

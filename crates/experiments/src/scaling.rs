@@ -7,15 +7,16 @@
 //! shape, and an oversubscribed shape where threads outnumber cores and
 //! epoch decisions must rotate the parked set. Every scheme swept here
 //! is predictor-free (no offline profiling phase), so the whole sweep
-//! runs standalone.
+//! runs standalone. Each shape's zoo runs as lanes of one simulation
+//! from one cold machine, and the shapes run in parallel.
 
 use ampsched_metrics::{improvement_pct, Table};
-use ampsched_system::{MulticoreSystem, SystemConfig, Topology, TopoRunResult};
-use ampsched_trace::BenchmarkSpec;
+use ampsched_system::{Lane, SystemConfig, Topology, TopoRunResult};
+use ampsched_trace::{BenchmarkSpec, Workload};
 use ampsched_util::rng::StdRng;
 use ampsched_util::Json;
 
-use crate::common::{Params, SchedKind};
+use crate::common::{self, Params, SchedKind};
 use crate::runner::parallel_map;
 
 /// One machine shape of the sweep.
@@ -30,8 +31,30 @@ pub struct ShapeSpec {
 }
 
 impl ShapeSpec {
-    fn topology(&self) -> Topology {
+    /// The machine of this shape.
+    pub fn topology(&self) -> Topology {
         Topology::big_little(self.fp, self.int, self.threads)
+    }
+
+    /// The seed of this shape's thread set and workloads.
+    fn seed(&self, params: &Params) -> u64 {
+        params.seed ^ ((self.fp as u64) << 24 | (self.int as u64) << 16 | self.threads as u64)
+    }
+
+    /// The benchmarks this shape's threads run, by thread id.
+    fn thread_set(&self, params: &Params) -> Vec<BenchmarkSpec> {
+        sample_workloads(self.threads, self.seed(params))
+    }
+
+    /// Fresh workloads for this shape's threads, deterministic in the
+    /// shape and `params.seed`, provisioned per `params`.
+    pub fn workloads(&self, params: &Params) -> Vec<Box<dyn Workload>> {
+        let seed = self.seed(params);
+        self.thread_set(params)
+            .into_iter()
+            .enumerate()
+            .map(|(t, spec)| params.workload_for_thread(spec, seed, t))
+            .collect()
     }
 }
 
@@ -145,26 +168,32 @@ fn sample_workloads(n: usize, seed: u64) -> Vec<BenchmarkSpec> {
     picked.into_iter().map(|i| pool[i].clone()).collect()
 }
 
-fn run_cell(
+/// Run every scheduler on `shape` as lanes of one simulation from the
+/// same cold machine ([`common::run_lanes`]), and return the runs in
+/// scheduler order. Each lane gets one `experiments.run_shape <label>`
+/// span.
+pub fn run_shape(
     shape: &ShapeSpec,
-    specs: &[BenchmarkSpec],
-    kind: &SchedKind,
-    seed: u64,
+    schedulers: &[(String, SchedKind)],
     params: &Params,
-) -> TopoRunResult {
+) -> Vec<TopoRunResult> {
     let topo = shape.topology();
-    let _span = ampsched_obs::span!("experiments.run_shape", topo.label());
-    let workloads = specs
+    let label = topo.label();
+    let lanes = schedulers
         .iter()
-        .enumerate()
-        .map(|(t, spec)| params.workload_for_thread(spec.clone(), seed, t))
+        .map(|(_, kind)| Lane {
+            scheduler: kind.build_topo(shape.threads, None),
+            workloads: shape.workloads(params),
+        })
         .collect();
-    let mut sys = MulticoreSystem::new(sweep_system(params), &topo, workloads);
-    let mut sched = kind.build_topo(shape.threads, None);
-    let result = sys.run(&mut *sched, params.run_insts, params.max_cycles);
+    let runs = common::run_lanes(sweep_system(params), &topo, lanes, params, || {
+        ampsched_obs::span!("experiments.run_shape", label.as_str())
+    });
     // Observation only, like emit_run on the pair path.
-    crate::telemetry::emit_topo_run(&topo.label(), "scaling", seed, &result);
-    result
+    for run in &runs {
+        crate::telemetry::emit_topo_run(&label, "scaling", shape.seed(params), run);
+    }
+    runs
 }
 
 /// Run the sweep over the default grids.
@@ -172,31 +201,25 @@ pub fn run(params: &Params) -> ScalingResult {
     run_grid(params, &default_shapes(), &default_schedulers(params))
 }
 
-/// Run the sweep over explicit shape and scheduler grids.
+/// Run the sweep over explicit shape and scheduler grids: one
+/// [`run_shape`] per shape.
 pub fn run_grid(
     params: &Params,
     shapes: &[ShapeSpec],
     schedulers: &[(String, SchedKind)],
 ) -> ScalingResult {
-    // Flatten to (shape, scheduler) cells so the pool sees the whole
-    // grid at once; results come back in input order, so cells regroup
-    // by integer division below.
-    let grid: Vec<(usize, usize)> = (0..shapes.len())
-        .flat_map(|s| (0..schedulers.len()).map(move |k| (s, k)))
-        .collect();
-    let results = parallel_map(&grid, |&(s, k)| {
-        let shape = &shapes[s];
-        let seed = params.seed ^ ((shape.fp as u64) << 24 | (shape.int as u64) << 16 | shape.threads as u64);
-        let specs = sample_workloads(shape.threads, seed);
-        run_cell(shape, &specs, &schedulers[k].1, seed, params)
-    });
+    // A shape's work grows with its threads, so the pool claims the
+    // shapes with the most threads first and no worker is left with a
+    // large shape at the end; results return to grid order below.
+    let mut order: Vec<usize> = (0..shapes.len()).collect();
+    order.sort_by_key(|&s| std::cmp::Reverse(shapes[s].threads));
+    let claimed = parallel_map(&order, |&s| run_shape(&shapes[s], schedulers, params));
+    let mut by_shape: Vec<_> = order.into_iter().zip(claimed).collect();
+    by_shape.sort_unstable_by_key(|&(s, _)| s);
     let shapes_out = shapes
         .iter()
-        .enumerate()
-        .map(|(s, shape)| {
-            let seed = params.seed ^ ((shape.fp as u64) << 24 | (shape.int as u64) << 16 | shape.threads as u64);
-            let specs = sample_workloads(shape.threads, seed);
-            let runs = &results[s * schedulers.len()..(s + 1) * schedulers.len()];
+        .zip(by_shape)
+        .map(|(shape, (_, runs))| {
             // The static baseline for vs-static ratios on this shape.
             let static_ppw: Option<Vec<f64>> = schedulers
                 .iter()
@@ -240,7 +263,7 @@ pub fn run_grid(
             ShapeResult {
                 label: shape.topology().label(),
                 shape: *shape,
-                workloads: specs.iter().map(|b| b.name.to_string()).collect(),
+                workloads: shape.thread_set(params).iter().map(|b| b.name.to_string()).collect(),
                 cells,
             }
         })
@@ -393,6 +416,24 @@ mod tests {
         let a = run_grid(&params, &shapes, &schedulers);
         let b = run_grid(&params, &shapes, &schedulers);
         assert_eq!(to_json(&a).render(), to_json(&b).render());
+    }
+
+    #[test]
+    fn a_shapes_lane_accounting_is_exact() {
+        let mut params = Params::quick();
+        params.run_insts = 20_000;
+        let shape = ShapeSpec { fp: 2, int: 2, threads: 6 };
+        let (runs, snap) = ampsched_obs::metrics::scoped(|| {
+            run_shape(&shape, &default_schedulers(&params), &params)
+        });
+        // Six lanes represent 350,480 cycles; four forks leave 281,987
+        // to simulate, with at most four machines alive at once.
+        let pinned =
+            [("forks", 4), ("lane_cycles", 350_480), ("peak_machines", 4), ("sim_cycles", 281_987)];
+        let want: Vec<(String, u64)> =
+            pinned.iter().map(|&(n, v)| (format!("kernel.lanes.{n}"), v)).collect();
+        assert_eq!(snap.filtered("kernel.lanes.").counters, want);
+        assert_eq!(runs.iter().map(|r| r.cycles).sum::<u64>(), 350_480);
     }
 
     #[test]

@@ -12,14 +12,21 @@
 //! assignment together, a window swap in the iteration of an epoch
 //! decision, a three-way split, and forks at the last cycles before
 //! `max_cycles`. Each kind gets one `experiments.run_pair` span, and the
-//! spans never overlap. CI's `differential` job runs it in release
-//! mode; a debug build runs fewer, shorter pairs and N-core runs.
+//! spans never overlap. Scaling's zoo runs as lanes on each of its five
+//! default shapes (`scaling::run_shape`) and must equal the isolated
+//! runs, shape by shape, with the same `sim.*` telemetry and arena
+//! traffic; run alone (`--profile-sample`), every lane gives the same
+//! result. CI's `differential` job runs it in release mode at quick
+//! scale; a debug build runs fewer, shorter pairs, N-core and scaling
+//! runs.
 
 use ampsched_core::{
     AssignmentMap, ExtendedConfig, ProposedConfig, TopoDecision, TopoScheduler, TopoSnapshot,
 };
-use ampsched_experiments::common::{run_pairs, sample_pairs, Pair, Params, Predictors, SchedKind};
-use ampsched_experiments::profiling;
+use ampsched_experiments::common::{
+    run_pairs, sample_pairs, set_solo_runs, Pair, Params, Predictors, SchedKind,
+};
+use ampsched_experiments::{profiling, scaling};
 use ampsched_isa::MicroOp;
 use ampsched_obs::{metrics, span};
 use ampsched_system::{
@@ -171,10 +178,8 @@ fn grouped_and_isolated_calls_record_the_same_telemetry_and_arena_traffic() {
         assert_eq!(sim(&together), sim(&solo), "sim.* telemetry differs for {}", pair.label());
         assert!(sim(&solo).contains("sim.skip.joint"), "runs must skip");
         for name in ["trace.arena.hit", "trace.arena.miss"] {
-            let count = |s: &metrics::Snapshot| {
-                s.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
-            };
-            assert_eq!(count(&together), count(&solo), "{name} for {}", pair.label());
+            let ctx = format!("{name} for {}", pair.label());
+            assert_eq!(counter(&together, name), counter(&solo, name), "{ctx}");
         }
     }
 }
@@ -274,6 +279,75 @@ fn n_core_zoo_lanes_match_isolated_runs() {
             assert_same(&grouped[k], &isolated, &format!("{} lane {k} ({kind:?})", topo.label()));
         }
     }
+}
+
+#[test]
+fn scaling_zoo_lanes_match_isolated_runs_on_every_default_shape() {
+    let _serial = serial();
+    let mut params = Params::quick();
+    if cfg!(debug_assertions) {
+        params.run_insts = 20_000;
+    }
+    let zoo = scaling::default_schedulers(&params);
+    let system = scaling::sweep_system(&params);
+    let mut forked = 0;
+    for shape in scaling::default_shapes() {
+        let topo = shape.topology();
+        arena::clear();
+        let (isolated, solo) = metrics::scoped(|| {
+            zoo.iter()
+                .map(|(_, kind)| {
+                    let mut sys = MulticoreSystem::new(system, &topo, shape.workloads(&params));
+                    let mut sched = kind.build_topo(shape.threads, None);
+                    sys.run(&mut *sched, params.run_insts, params.max_cycles)
+                })
+                .collect::<Vec<_>>()
+        });
+        arena::clear();
+        let (grouped, together) = metrics::scoped(|| scaling::run_shape(&shape, &zoo, &params));
+        for (k, (lane, alone)) in grouped.iter().zip(&isolated).enumerate() {
+            assert_same(lane, alone, &format!("{} lane {k} ({})", topo.label(), zoo[k].0));
+        }
+        let sim = |s: &metrics::Snapshot| format!("{:?}", s.filtered("sim."));
+        assert_eq!(sim(&together), sim(&solo), "sim.* telemetry differs on {}", topo.label());
+        for name in ["trace.arena.hit", "trace.arena.miss", "trace.arena.chunk.materialize"] {
+            let ctx = format!("{name} on {}", topo.label());
+            assert_eq!(counter(&together, name), counter(&solo, name), "{ctx}");
+        }
+        let lane_cycles: u64 = isolated.iter().map(|r| r.cycles).sum();
+        assert_eq!(counter(&together, "kernel.lanes.lane_cycles"), lane_cycles);
+        assert!(counter(&together, "kernel.lanes.sim_cycles") <= lane_cycles);
+        forked += usize::from(counter(&together, "kernel.lanes.forks") > 0);
+    }
+    assert!(forked >= 3, "too few shapes forked: {forked}");
+}
+
+#[test]
+fn solo_runs_run_each_scaling_lane_alone_with_the_same_results() {
+    let _serial = serial();
+    let mut params = Params::quick();
+    params.run_insts = 20_000;
+    let zoo = scaling::default_schedulers(&params);
+    let shape = scaling::default_shapes()[4];
+    let (grouped, lanes) = metrics::scoped(|| scaling::run_shape(&shape, &zoo, &params));
+    set_solo_runs(true);
+    let (solo, alone) = metrics::scoped(|| scaling::run_shape(&shape, &zoo, &params));
+    set_solo_runs(false);
+    for (k, (a, b)) in grouped.iter().zip(&solo).enumerate() {
+        assert_same(a, b, &format!("{} lane {k} run alone", shape.topology().label()));
+    }
+    assert!(counter(&lanes, "kernel.lanes.forks") > 0, "the lanes fork");
+    assert_eq!(counter(&alone, "kernel.lanes.forks"), 0, "a lone lane never forks");
+    assert_eq!(
+        counter(&alone, "kernel.lanes.sim_cycles"),
+        counter(&alone, "kernel.lanes.lane_cycles"),
+        "solo runs simulate every lane-cycle"
+    );
+}
+
+/// A counter's value in `s`, 0 when absent.
+fn counter(s: &metrics::Snapshot, name: &str) -> u64 {
+    s.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
 }
 
 /// A scheduler that plays a fixed plan: each step reassigns at the first

@@ -999,6 +999,13 @@ impl MulticoreSystem {
     /// overlap: the shared prefix falls in the first lane's. Pipeline
     /// samples, when the profiler samples, are recorded once per machine:
     /// run one lane per call to keep them per run.
+    ///
+    /// Each call adds its lane accounting to four counters:
+    /// `kernel.lanes.lane_cycles` (the lanes' run cycles summed: what
+    /// isolated runs would simulate), `kernel.lanes.sim_cycles` (the
+    /// cycles its machines simulated), `kernel.lanes.forks` (machine
+    /// clones made) and `kernel.lanes.peak_machines` (the most machines
+    /// alive at once in the call).
     pub fn run_lanes<G>(
         cfg: SystemConfig,
         topology: &Topology,
@@ -1028,6 +1035,7 @@ impl MulticoreSystem {
             .collect();
         let (mut run, group) = Run::new(&spec, &mut root, lanes, target_insts, max_cycles);
         let mut todo = vec![(root, group)];
+        let (mut simulated, mut forks, mut peak) = (0u64, 0usize, 1usize);
         while let Some((mut m, mut g)) = todo.pop() {
             let span = lane_span();
             let mut workloads = own[g.members[0]].take().expect("a lane leads one group");
@@ -1036,17 +1044,33 @@ impl MulticoreSystem {
                     w.next_op();
                 }
             }
+            let from = m.cycle;
             run.run_group(&mut m, &mut g, &mut workloads);
             drop(span);
             for _ in 1..g.members.len() {
                 drop(lane_span());
             }
+            simulated += m.cycle - from;
+            forks += run.forks.len();
+            // Machines fork only while a group runs, so the count alive
+            // peaks at a group's end: its own, the waiting ones and its
+            // new forks.
+            peak = peak.max(1 + todo.len() + run.forks.len());
             todo.append(&mut run.forks);
         }
-        run.results
+        let results: Vec<TopoRunResult> = run
+            .results
             .into_iter()
             .map(|r| r.expect("every lane finishes"))
-            .collect()
+            .collect();
+        // Lane accounting stays outside `sim.*`: it describes how the
+        // runs were simulated, not what they computed.
+        let lane_cycles: u64 = results.iter().map(|r| r.cycles).sum();
+        ampsched_obs::counter!("kernel.lanes.lane_cycles", lane_cycles);
+        ampsched_obs::counter!("kernel.lanes.sim_cycles", simulated);
+        ampsched_obs::counter!("kernel.lanes.forks", forks);
+        ampsched_obs::counter!("kernel.lanes.peak_machines", peak);
+        results
     }
 }
 

@@ -7,6 +7,8 @@
 //! thread-slot)` stream **once** into a compact packed encoding behind a
 //! process-wide memoized store, and [`ReplaySource`] replays it by
 //! decoding — bit-identical to live generation, several times cheaper.
+//! The reader that materializes a chunk generates it into its own op
+//! buffer and encodes it from there, so only later readers decode it.
 //!
 //! ## Encoding
 //!
@@ -403,9 +405,21 @@ struct ArenaEntry {
 }
 
 impl ArenaEntry {
-    /// The `idx`-th chunk, materializing any missing prefix first.
-    fn chunk(&self, idx: usize) -> Arc<Chunk> {
+    /// Fill `buf` with the `idx`-th chunk's ops. A materialized chunk is
+    /// decoded; a missing one is materialized by this reader, which
+    /// generates it straight into `buf` and encodes it from there, so the
+    /// reader that makes a chunk never decodes it.
+    fn read_into(&self, idx: usize, buf: &mut Vec<MicroOp>) {
+        buf.clear();
         let mut inner = self.inner.lock().expect("arena entry lock");
+        if let Some(chunk) = inner.chunks.get(idx).cloned() {
+            drop(inner);
+            let t = Instant::now();
+            decode_stream(&chunk.data, CHUNK_OPS, buf)
+                .expect("arena chunks are produced by encode_stream and always decode");
+            timing::record(t.elapsed());
+            return;
+        }
         while inner.chunks.len() <= idx {
             let t = Instant::now();
             // Catch the generator up over any disk-loaded prefix it
@@ -417,13 +431,14 @@ impl ArenaEntry {
                 }
                 inner.gen_chunks += 1;
             }
-            let mut ops = Vec::with_capacity(CHUNK_OPS);
+            buf.clear();
+            buf.reserve(CHUNK_OPS);
             for _ in 0..CHUNK_OPS {
-                ops.push(inner.gen.next_op());
+                buf.push(inner.gen.next_op());
             }
             inner.gen_chunks += 1;
             let mut data = Vec::with_capacity(CHUNK_OPS * 8);
-            encode_stream(&ops, &mut data);
+            encode_stream(buf, &mut data);
             timing::record(t.elapsed());
             ampsched_obs::counter!("trace.arena.chunk.materialize");
             ampsched_obs::hist!("trace.arena.chunk_bytes", data.len());
@@ -437,7 +452,6 @@ impl ArenaEntry {
                 self.write_back(&mut inner);
             }
         }
-        inner.chunks[idx].clone()
     }
 
     /// Persist any chunks beyond the on-disk prefix by rewriting the
@@ -690,10 +704,14 @@ pub fn clear() {
 
 /// A [`Workload`] that replays a memoized arena stream.
 ///
-/// Decodes one chunk at a time into a scratch buffer, so the hot
+/// Reads one chunk at a time into its op buffer, so the hot
 /// [`Workload::next_op`] is a plain array read plus a phase counter —
 /// cheaper than live generation, and bit-identical to it for any
-/// consumption length (the arena extends on demand).
+/// consumption length (the arena extends on demand). A chunk another
+/// reader materialized is decoded; a chunk nobody has yet is generated
+/// straight into the buffer and encoded from there. The buffer is
+/// allocated on the first read, so a source built but never read (a
+/// lane that never leaves the machine it shares) costs no buffer.
 ///
 /// ```
 /// use ampsched_trace::{suite, ReplaySource, TraceGenerator, Workload};
@@ -716,6 +734,8 @@ pub struct ReplaySource {
     /// needs the entry lock.
     durations: Vec<u64>,
     next_chunk: usize,
+    /// The current chunk's ops; empty, with no capacity, until the first
+    /// read.
     buf: Vec<MicroOp>,
     pos: usize,
     phase_idx: usize,
@@ -769,7 +789,7 @@ impl ReplaySource {
             name,
             durations,
             next_chunk: 0,
-            buf: Vec::with_capacity(CHUNK_OPS),
+            buf: Vec::new(),
             pos: 0,
             phase_idx: 0,
             left_in_phase,
@@ -778,13 +798,8 @@ impl ReplaySource {
 
     #[cold]
     fn refill(&mut self) {
-        let chunk = self.entry.chunk(self.next_chunk);
+        self.entry.read_into(self.next_chunk, &mut self.buf);
         self.next_chunk += 1;
-        let t = Instant::now();
-        self.buf.clear();
-        decode_stream(&chunk.data, CHUNK_OPS, &mut self.buf)
-            .expect("arena chunks are produced by encode_stream and always decode");
-        timing::record(t.elapsed());
         self.pos = 0;
     }
 }
@@ -932,6 +947,72 @@ mod tests {
             chunks_before,
             "the second reader must not re-materialize the shared prefix"
         );
+    }
+
+    /// The first `n` ops of a stream, generated live.
+    fn live_ops(spec: &BenchmarkSpec, seed: u64, thread: usize, n: usize) -> Vec<MicroOp> {
+        let mut g = TraceGenerator::for_thread(spec.clone(), seed, thread);
+        (0..n).map(|_| g.next_op()).collect()
+    }
+
+    /// Read `n` ops from `r` and assert they equal `want[*at..*at + n]`.
+    fn read_matches(r: &mut ReplaySource, want: &[MicroOp], at: &mut usize, n: usize, ctx: &str) {
+        for (i, want) in want.iter().enumerate().skip(*at).take(n) {
+            assert_eq!(r.next_op(), *want, "{ctx}: op {i} diverged");
+        }
+        *at += n;
+    }
+
+    #[test]
+    fn materializing_decoding_and_alternating_readers_equal_the_generator() {
+        // Seeds no other test uses, so each entry starts empty here and
+        // its chunks are read in exactly the order below.
+        const CHUNKS: usize = 2;
+        let n = CHUNKS * CHUNK_OPS;
+        for spec in suite::all() {
+            for seed in [0x1de7_0001u64, 0x1de7_0002] {
+                // Thread slot 0: one reader materializes every chunk, a
+                // second (alive meanwhile, so nothing is evicted)
+                // decodes them.
+                let want = live_ops(&spec, seed, 0, n);
+                let ctx = format!("{} seed {seed:#x}", spec.name);
+                let mut maker = ReplaySource::for_thread(spec.clone(), seed, 0);
+                read_matches(&mut maker, &want, &mut 0, n, &format!("{ctx} materializing reader"));
+                assert_eq!(maker.entry.inner.lock().unwrap().gen_chunks, CHUNKS);
+                let mut decoder = ReplaySource::for_thread(spec.clone(), seed, 0);
+                read_matches(&mut decoder, &want, &mut 0, n, &format!("{ctx} decoding reader"));
+                assert_eq!(
+                    decoder.entry.inner.lock().unwrap().gen_chunks,
+                    CHUNKS,
+                    "{ctx}: the decoding reader generated"
+                );
+                // Thread slot 1: two readers take turns materializing;
+                // chunk c is made by reader c % 2 and decoded by the
+                // other.
+                let want = live_ops(&spec, seed, 1, n);
+                let mut pair = [
+                    ReplaySource::for_thread(spec.clone(), seed, 1),
+                    ReplaySource::for_thread(spec.clone(), seed, 1),
+                ];
+                let mut at = [0usize; 2];
+                for c in 0..CHUNKS {
+                    for r in [c % 2, 1 - c % 2] {
+                        let ctx = format!("{ctx} alternating reader {r} chunk {c}");
+                        read_matches(&mut pair[r], &want, &mut at[r], CHUNK_OPS, &ctx);
+                        assert_eq!(pair[r].entry.inner.lock().unwrap().gen_chunks, c + 1, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_unread_source_holds_no_buffer() {
+        let spec = suite::by_name("gzip").unwrap();
+        let mut r = ReplaySource::for_thread(spec, 0x1de7_0003, 0);
+        assert_eq!(r.buf.capacity(), 0, "built but never read");
+        r.next_op();
+        assert_eq!(r.buf.capacity(), CHUNK_OPS, "one chunk's ops after the first read");
     }
 
     #[test]
