@@ -51,10 +51,13 @@
 //! `--profile` also samples pipeline state (ROB/ISQ/LSQ occupancy,
 //! issue-width utilization, stall cause at the ROB head) every 8192
 //! simulated cycles; `--profile-sample N` changes the cadence, and on
-//! its own enables just the sampler. Per-core summaries land in the
-//! timing report, a `pipeline` section of the bench artifact, and — with
-//! `--trace-events` — counter tracks in the Chrome trace. Sampling is
-//! read-only: `--json` reports stay byte-identical with it enabled.
+//! its own enables just the sampler. Lanes sharing a machine share its
+//! samples, each weighted by the lanes it stands for, so the summaries
+//! describe the isolated runs. Per-(machine, core) summaries land in the
+//! timing report, a `pipeline` section of the bench artifact (next to a
+//! `lanes` section), and — with `--trace-events` — counter tracks in
+//! the Chrome trace. Sampling is read-only: `--json` reports stay
+//! byte-identical with it enabled.
 //!
 //! `ampsched serve` turns the same experiment drivers into a daemon:
 //! `POST /run` with `{"experiment": ..., "params": {...}}` answers with
@@ -66,7 +69,7 @@
 //! full reference; DESIGN.md §14 the architecture.
 
 use ampsched_experiments::{
-    common::{self, Params}, obs_summary, profiling, report, serve, telemetry, trace_cache,
+    common::Params, obs_summary, profiling, report, serve, telemetry, trace_cache,
 };
 use ampsched_trace::{arena, timing};
 use ampsched_util::timer::{resolve_out_dir, Profiler};
@@ -394,15 +397,12 @@ fn main() {
     if profile || trace_events.is_some() {
         ampsched_obs::span::set_enabled(true);
     }
-    // Pipeline sampling: `--profile` turns it on at the default cadence,
-    // sampling a pair's shared prefix once as it is simulated;
-    // `--profile-sample N` overrides the interval, runs every pair's
-    // kinds alone so each run's samples are its own, and also works on
-    // its own (summary to stdout, no bench artifact).
+    // Pipeline sampling: `--profile` turns it on at the default cadence;
+    // `--profile-sample N` overrides the interval and also works on its
+    // own (summary to stdout, no bench artifact).
     if profile || profile_sample.is_some() {
         ampsched_obs::profiler::set_interval(profile_sample.unwrap_or(8192).max(1));
     }
-    common::set_solo_runs(profile_sample.is_some());
 
     let t0 = Instant::now();
     // Per-phase wall-clock accounting for `--profile`; shaped like a bench
@@ -475,31 +475,32 @@ fn main() {
         std::fs::write(path, doc.render_pretty()).expect("write json report");
         eprintln!("[json report written to {path}]");
     }
+    let pipeline = ampsched_obs::profiler::summarize(&ampsched_obs::profiler::snapshot());
     if profile {
+        // Trace provisioning and spans are busy time summed over worker
+        // threads: they overlap the command phases and each other. Spans
+        // go in under a `span.` prefix; `bench_diff` skips names the
+        // baseline lacks, so span-derived rows never break profile
+        // comparisons.
         let trace_time = timing::total();
-        prof.add("trace", trace_time);
-        // Fold recorded spans in under a `span.` prefix: new per-name
-        // phases appear alongside the coarse command timings, and
-        // `bench_diff` skips names the baseline lacks, so span-derived
-        // phases never break profile comparisons.
-        for (name, dur, _count) in ampsched_obs::span::aggregate() {
-            prof.add(&format!("span.{name}"), dur);
+        prof.add_busy("trace", trace_time, 1);
+        for (name, dur, count) in ampsched_obs::span::aggregate() {
+            prof.add_busy(&format!("span.{name}"), dur, count);
         }
         println!("Timing report ({command}, {sim_path_name} kernel, {trace_path_name} traces)\n");
         println!("{}", prof.render());
-        let pipeline = render_pipeline_summary();
         if !pipeline.is_empty() {
-            println!("{pipeline}");
+            println!("{}", render_pipeline_summary(&pipeline));
         }
-        if let Some(lanes) = render_lane_accounting() {
-            println!("{lanes}\n");
+        let lanes = lane_accounting();
+        if let Some(lanes) = &lanes {
+            println!("{}\n", render_lane_accounting(lanes));
         }
-        let wall = t0.elapsed();
         println!(
-            "trace provisioning: {:.3}s = {:.1}% of {:.1}s wall-clock ({trace_path_name})\n",
+            "trace provisioning: {:.3}s busy, summed over threads, in a {:.1}s run \
+             ({trace_path_name})\n",
             trace_time.as_secs_f64(),
-            100.0 * trace_time.as_secs_f64() / wall.as_secs_f64().max(1e-9),
-            wall.as_secs_f64()
+            t0.elapsed().as_secs_f64()
         );
         let dir = resolve_out_dir(Path::new("results/bench"));
         std::fs::create_dir_all(&dir).expect("create results/bench");
@@ -521,67 +522,67 @@ fn main() {
             Some(s) => format!("ampsched {command} ({sim_path_name}, {trace_path_name}, {s} cache)"),
             None => format!("ampsched {command} ({sim_path_name}, {trace_path_name})"),
         };
-        // Fold the sampled pipeline summary into the artifact alongside
-        // the wall-clock phases: `bench_diff` only reads `benchmarks`, so
-        // the extra section never perturbs timing comparisons.
+        // Fold the sampled pipeline summary and the lane accounting into
+        // the artifact alongside the wall-clock phases: `bench_diff` only
+        // reads `benchmarks`, so the extra sections never perturb timing
+        // comparisons.
         let mut doc = prof.to_bench_json(&target);
-        if ampsched_obs::profiler::sample_count() > 0 {
-            if let Json::Obj(sections) = &mut doc {
-                sections.push((
-                    "pipeline".to_string(),
-                    ampsched_obs::profiler::summary_json(&ampsched_cpu::STALL_CAUSE_NAMES),
-                ));
+        if let Json::Obj(sections) = &mut doc {
+            if !pipeline.is_empty() {
+                let names = &ampsched_cpu::STALL_CAUSE_NAMES;
+                let json = ampsched_obs::profiler::summary_json(&pipeline, names);
+                sections.push(("pipeline".to_string(), json));
+            }
+            if let Some(lanes) = &lanes {
+                let json = lanes.iter().map(|&(k, v)| (k.to_string(), Json::from(v)));
+                sections.push(("lanes".to_string(), Json::Obj(json.collect())));
             }
         }
         std::fs::write(&out, doc.render_pretty()).expect("write profile json");
         eprintln!("[profile written to {}]", out.display());
-    } else if profile_sample.is_some() {
+    } else if !pipeline.is_empty() {
         // `--profile-sample` without `--profile`: report the sampled
         // pipeline state without the timing machinery or artifacts.
-        let pipeline = render_pipeline_summary();
-        if !pipeline.is_empty() {
-            println!("{pipeline}");
-        }
+        println!("{}", render_pipeline_summary(&pipeline));
     }
     eprintln!("[done in {:.1}s]", t0.elapsed().as_secs_f64());
 }
 
-/// The `kernel.lanes.*` lane accounting on one line; `None` when no run
-/// went through `MulticoreSystem::run_lanes`.
-fn render_lane_accounting() -> Option<String> {
+/// The four `kernel.lanes.*` counters, without their prefix; `None`
+/// when no run went through `MulticoreSystem::run_lanes`.
+fn lane_accounting() -> Option<[(&'static str, u64); 4]> {
     let snap = ampsched_obs::metrics::snapshot().filtered("kernel.lanes.");
-    let get = |name: &str| snap.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v);
-    let lane_cycles = get("kernel.lanes.lane_cycles");
-    let sim_cycles = get("kernel.lanes.sim_cycles");
-    (lane_cycles > 0).then(|| {
-        format!(
-            "lanes: {sim_cycles} cycles simulated for {lane_cycles} lane-cycles ({:.1}%), \
-             {} forks, {} machines alive at the per-call peaks (summed)",
-            100.0 * sim_cycles as f64 / lane_cycles as f64,
-            get("kernel.lanes.forks"),
-            get("kernel.lanes.peak_machines"),
-        )
-    })
+    let get = |name: &str| {
+        let name = format!("kernel.lanes.{name}");
+        snap.counters.iter().find(|(n, _)| *n == name).map_or(0, |(_, v)| *v)
+    };
+    let lanes = ["lane_cycles", "sim_cycles", "forks", "peak_machines"].map(|k| (k, get(k)));
+    (lanes[0].1 > 0).then_some(lanes)
 }
 
-/// Aligned text table of the sampled per-core pipeline summaries; empty
-/// when the profiler recorded nothing (sampling off, or the run was too
-/// short to cross an interval boundary).
-fn render_pipeline_summary() -> String {
-    let summaries = ampsched_obs::profiler::summarize();
-    if summaries.is_empty() {
-        return String::new();
-    }
+/// The lane accounting on one line.
+fn render_lane_accounting(lanes: &[(&str, u64); 4]) -> String {
+    let [lane_cycles, sim_cycles, forks, peak] = lanes.map(|(_, v)| v);
+    format!(
+        "lanes: {sim_cycles} cycles simulated for {lane_cycles} lane-cycles ({:.1}%), \
+         {forks} forks, {peak} machines alive at the per-call peaks (summed)",
+        100.0 * sim_cycles as f64 / lane_cycles as f64,
+    )
+}
+
+/// Aligned text table of the sampled per-(machine, core) pipeline
+/// summaries, which must not be empty.
+fn render_pipeline_summary(summaries: &[ampsched_obs::profiler::CoreSummary]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "Pipeline samples (every {} cycles)\n",
+        "Pipeline samples (every {} cycles, weighted by the runs sharing each machine)\n",
         ampsched_obs::profiler::interval()
     ));
     out.push_str(&format!(
-        "{:<5} {:>8} {:>7} {:>8} {:>7} {:>6} {:>6} {:>6}  top stall\n",
-        "core", "samples", "rob", "isq_int", "isq_fp", "lq", "sq", "util"
+        "{:<12} {:<5} {:>8} {:>7} {:>8} {:>7} {:>6} {:>6} {:>6}  top stall\n",
+        "machine", "core", "samples", "rob", "isq_int", "isq_fp", "lq", "sq", "util"
     ));
-    for c in &summaries {
+    for c in summaries {
         let (top_code, top_n) = c
             .stall_counts
             .iter()
@@ -594,7 +595,8 @@ fn render_pipeline_summary() -> String {
             .copied()
             .unwrap_or("?");
         out.push_str(&format!(
-            "{:<5} {:>8} {:>7.1} {:>8.1} {:>7.1} {:>6.1} {:>6.1} {:>5.1}%  {} ({:.0}%)\n",
+            "{:<12} {:<5} {:>8} {:>7.1} {:>8.1} {:>7.1} {:>6.1} {:>6.1} {:>5.1}%  {} ({:.0}%)\n",
+            c.machine,
             c.core,
             c.samples,
             c.mean_rob,

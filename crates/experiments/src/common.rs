@@ -10,7 +10,6 @@ use ampsched_system::{Lane, MulticoreSystem, SimPath, SystemConfig, TopoRunResul
 use ampsched_trace::{suite, BenchmarkSpec, TracePath, Workload};
 use ampsched_util::rng::StdRng;
 use ampsched_util::Json;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Global experiment parameters.
 #[derive(Debug, Clone)]
@@ -329,20 +328,9 @@ pub fn run_pair(pair: &Pair, kind: &SchedKind, predictors: &Predictors, params: 
         .expect("one run per kind")
 }
 
-/// Whether [`run_lanes`] runs every lane alone instead of as lanes.
-static SOLO_RUNS: AtomicBool = AtomicBool::new(false);
-
-/// Make [`run_lanes`] run every lane alone (`--profile-sample`), so each
-/// run's pipeline samples are its own; results are the same either way.
-pub fn set_solo_runs(on: bool) {
-    SOLO_RUNS.store(on, Ordering::Relaxed);
-}
-
 /// Run `lanes` from one cold `system` over `topology` with the run
 /// limits of `params`, as [`MulticoreSystem::run_lanes`] does, and
-/// return their results in lane order. After [`set_solo_runs`]`(true)`
-/// every lane runs alone, so each run's pipeline samples stay its own.
-/// The one switch between the two for every caller.
+/// return their results in lane order.
 pub fn run_lanes<G>(
     system: SystemConfig,
     topology: &Topology,
@@ -350,21 +338,14 @@ pub fn run_lanes<G>(
     params: &Params,
     lane_span: impl Fn() -> G,
 ) -> Vec<TopoRunResult> {
-    let run = |lanes: Vec<Lane>| {
-        MulticoreSystem::run_lanes(
-            system,
-            topology,
-            lanes,
-            params.run_insts,
-            params.max_cycles,
-            &lane_span,
-        )
-    };
-    if SOLO_RUNS.load(Ordering::Relaxed) {
-        lanes.into_iter().flat_map(|lane| run(vec![lane])).collect()
-    } else {
-        run(lanes)
-    }
+    MulticoreSystem::run_lanes(
+        system,
+        topology,
+        lanes,
+        params.run_insts,
+        params.max_cycles,
+        lane_span,
+    )
 }
 
 /// Run one pair under each of `kinds`, every run from the same cold
@@ -379,8 +360,8 @@ pub fn run_lanes<G>(
 /// Each kind gets one `experiments.run_pair <pair>` span; the spans never
 /// overlap and add up to the pair's simulation time (see
 /// `MulticoreSystem::run_lanes`). Pipeline-profiler samples of a shared
-/// prefix are recorded once, like its simulation, unless [`run_lanes`]
-/// runs every kind alone.
+/// prefix are recorded once, like its simulation, weighted by the kinds
+/// sharing it.
 pub fn run_pairs(
     pair: &Pair,
     kinds: &[SchedKind],

@@ -15,17 +15,14 @@
 //! spans never overlap. Scaling's zoo runs as lanes on each of its five
 //! default shapes (`scaling::run_shape`) and must equal the isolated
 //! runs, shape by shape, with the same `sim.*` telemetry and arena
-//! traffic; run alone (`--profile-sample`), every lane gives the same
-//! result. CI's `differential` job runs it in release mode at quick
+//! traffic. CI's `differential` job runs it in release mode at quick
 //! scale; a debug build runs fewer, shorter pairs, N-core and scaling
 //! runs.
 
 use ampsched_core::{
     AssignmentMap, ExtendedConfig, ProposedConfig, TopoDecision, TopoScheduler, TopoSnapshot,
 };
-use ampsched_experiments::common::{
-    run_pairs, sample_pairs, set_solo_runs, Pair, Params, Predictors, SchedKind,
-};
+use ampsched_experiments::common::{run_pairs, sample_pairs, Pair, Params, Predictors, SchedKind};
 use ampsched_experiments::{profiling, scaling};
 use ampsched_isa::MicroOp;
 use ampsched_obs::{metrics, span};
@@ -320,29 +317,6 @@ fn scaling_zoo_lanes_match_isolated_runs_on_every_default_shape() {
         forked += usize::from(counter(&together, "kernel.lanes.forks") > 0);
     }
     assert!(forked >= 3, "too few shapes forked: {forked}");
-}
-
-#[test]
-fn solo_runs_run_each_scaling_lane_alone_with_the_same_results() {
-    let _serial = serial();
-    let mut params = Params::quick();
-    params.run_insts = 20_000;
-    let zoo = scaling::default_schedulers(&params);
-    let shape = scaling::default_shapes()[4];
-    let (grouped, lanes) = metrics::scoped(|| scaling::run_shape(&shape, &zoo, &params));
-    set_solo_runs(true);
-    let (solo, alone) = metrics::scoped(|| scaling::run_shape(&shape, &zoo, &params));
-    set_solo_runs(false);
-    for (k, (a, b)) in grouped.iter().zip(&solo).enumerate() {
-        assert_same(a, b, &format!("{} lane {k} run alone", shape.topology().label()));
-    }
-    assert!(counter(&lanes, "kernel.lanes.forks") > 0, "the lanes fork");
-    assert_eq!(counter(&alone, "kernel.lanes.forks"), 0, "a lone lane never forks");
-    assert_eq!(
-        counter(&alone, "kernel.lanes.sim_cycles"),
-        counter(&alone, "kernel.lanes.lane_cycles"),
-        "solo runs simulate every lane-cycle"
-    );
 }
 
 /// A counter's value in `s`, 0 when absent.

@@ -153,9 +153,9 @@ fn span_inner(name: &'static str, label: Option<String>) -> SpanGuard {
     }
 }
 
-/// Total duration and hit count per span name, sorted by name — the
-/// shape `ampsched-util`'s `Profiler::add` accepts, so span totals merge
-/// straight into `--profile` reports.
+/// Total duration and hit count per span name, sorted by name — what
+/// `ampsched-util`'s `Profiler::add_busy` takes, so span totals merge
+/// straight into `--profile` reports as busy time.
 pub fn aggregate() -> Vec<(String, Duration, u64)> {
     let buf = events().lock().expect("span buffer lock");
     let mut totals: Vec<(String, Duration, u64)> = Vec::new();

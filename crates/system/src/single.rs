@@ -120,7 +120,7 @@ impl SingleCoreRunner {
         let mut iv_start_insts = 0u64;
         let mut iv_start_mix = MixCounts::new();
         let mut total_joules = 0.0;
-        let mut sampler = PipeSampler::new(0);
+        let mut sampler = PipeSampler::new(0, std::slice::from_ref(&self.core), self.core_name);
         loop {
             // Close the interval at its boundary or at the end of the run.
             let done = committed >= target_insts || cycle >= max_cycles;
@@ -163,13 +163,13 @@ impl SingleCoreRunner {
                     ampsched_obs::counter!("sim.skip.single");
                     ampsched_obs::hist!("sim.skip.single_cycles", target - cycle);
                     cycle = target;
-                    sampler.catch_up(cycle, std::slice::from_ref(&self.core));
+                    sampler.catch_up(cycle, std::slice::from_ref(&self.core), 1);
                 }
             }
             let n = self.core.step(cycle, self.sim_path, workload, &mut self.mem);
             committed += n as u64;
             cycle += 1;
-            sampler.catch_up(cycle, std::slice::from_ref(&self.core));
+            sampler.catch_up(cycle, std::slice::from_ref(&self.core), 1);
         }
 
         SingleRunResult {

@@ -252,6 +252,9 @@ struct Spec {
     /// Unit conversions use core 0's clock (the whole topology runs one
     /// clock domain, as in the paper).
     frequency_hz: f64,
+    /// The topology's label: the machine pipeline samples are filed
+    /// under.
+    label: String,
 }
 
 impl Spec {
@@ -261,6 +264,7 @@ impl Spec {
             cfg,
             traits: topology.traits(),
             frequency_hz: topology.cores[0].frequency_ghz * 1e9,
+            label: topology.label(),
         }
     }
 }
@@ -613,6 +617,9 @@ struct Group {
     /// The group forked at a window decision point and resumes at that
     /// loop iteration's epoch check.
     at_epoch: bool,
+    /// The run's pipeline sampler: a fork copies it, so each forked
+    /// group continues its parent's run.
+    sampler: PipeSampler,
 }
 
 /// One call's lanes and the limits every group of it shares.
@@ -674,6 +681,7 @@ impl<'a> Run<'a> {
             members,
             next_epoch: m.cycle + spec.cfg.epoch_cycles,
             at_epoch: false,
+            sampler: PipeSampler::new(m.cycle, &m.cores, &spec.label),
         };
         (run, group)
     }
@@ -685,7 +693,9 @@ impl<'a> Run<'a> {
     fn run_group(&mut self, m: &mut Machine, g: &mut Group, workloads: &mut [Box<dyn Workload>]) {
         let _span = ampsched_obs::span!("system.run");
         let spec = self.spec;
-        let mut sampler = PipeSampler::new(m.cycle);
+        // Sampling off keeps the per-cycle check a compare against a
+        // local: `next` is then `u64::MAX`.
+        let mut next_sample = g.sampler.next;
         let mut at_epoch = std::mem::take(&mut g.at_epoch);
         loop {
             if !at_epoch {
@@ -726,7 +736,9 @@ impl<'a> Run<'a> {
                         for _ in &g.members {
                             ampsched_obs::hist!("sim.skip.joint_cycles", n);
                         }
-                        sampler.catch_up(m.cycle, &m.cores);
+                        if m.cycle >= next_sample {
+                            next_sample = g.sampler.catch_up(m.cycle, &m.cores, g.members.len());
+                        }
                     }
                 }
 
@@ -742,7 +754,9 @@ impl<'a> Run<'a> {
                     m.thread_insts[t] += n as u64;
                 }
                 m.cycle += 1;
-                sampler.catch_up(m.cycle, &m.cores);
+                if m.cycle >= next_sample {
+                    next_sample = g.sampler.catch_up(m.cycle, &m.cores, g.members.len());
+                }
 
                 // Fine-grained window boundaries, each lane on its own
                 // window (committed instructions summed over all threads).
@@ -802,6 +816,7 @@ impl<'a> Run<'a> {
                 members: fork_members,
                 next_epoch: g.next_epoch,
                 at_epoch: kind == DecisionKind::Window,
+                sampler: g.sampler.clone(),
             };
             self.forks.push((fork, group));
         }
@@ -997,8 +1012,9 @@ impl MulticoreSystem {
     /// each other lane finishing in the group, dropped at once. With
     /// tracing spans, each lane gets one span and the spans never
     /// overlap: the shared prefix falls in the first lane's. Pipeline
-    /// samples, when the profiler samples, are recorded once per machine:
-    /// run one lane per call to keep them per run.
+    /// samples, when the profiler samples, are recorded once per machine
+    /// and weighted by the lanes sharing it, so their summaries equal
+    /// those of the isolated runs.
     ///
     /// Each call adds its lane accounting to four counters:
     /// `kernel.lanes.lane_cycles` (the lanes' run cycles summed: what
@@ -1074,47 +1090,66 @@ impl MulticoreSystem {
     }
 }
 
-/// The sampled pipeline profiler's cadence, shared by both run loops: a
-/// sample at cycle X is every core's state at the *start* of X (after
-/// step X−1), re-emitted at each boundary a quiescent skip crosses
-/// (state is frozen there).
+/// The sampled pipeline profiler's cadence and one run's place in it,
+/// shared by both run loops: a sample at cycle X is every core's state at
+/// the *start* of X (after step X−1), re-emitted at each boundary a
+/// quiescent skip crosses (state is frozen there).
+#[derive(Clone)]
 pub(crate) struct PipeSampler {
     interval: u64,
-    next: u64,
+    /// The next boundary to sample; `u64::MAX` when sampling is off.
+    pub(crate) next: u64,
+    /// Interned label of the machine the run simulates.
+    machine: u16,
+    /// Cycle of the run's previous sample (its start before the first).
+    prev_cycle: u64,
+    /// Each core's committed count at the previous sample.
+    prev_committed: Vec<u64>,
 }
 
 impl PipeSampler {
-    /// Cadence for a run starting at cycle `start` (first sample at the
-    /// next multiple of the profiler interval; never when sampling is off).
-    pub(crate) fn new(start: u64) -> Self {
+    /// Cadence for a run on `cores` of machine `label` starting at cycle
+    /// `start` (first sample at the next multiple of the profiler
+    /// interval; never when sampling is off).
+    pub(crate) fn new(start: u64, cores: &[Core], label: &str) -> Self {
         let interval = ampsched_obs::profiler::interval();
-        let next = match interval {
-            0 => u64::MAX,
-            n => (start / n + 1) * n,
-        };
-        PipeSampler { interval, next }
+        let on = interval > 0;
+        PipeSampler {
+            interval,
+            next: if on { (start / interval + 1) * interval } else { u64::MAX },
+            machine: if on { ampsched_obs::profiler::machine_id(label) } else { 0 },
+            prev_cycle: start,
+            prev_committed: cores.iter().map(|c| c.stats.committed.total()).collect(),
+        }
     }
 
-    /// Record one sample per core for every boundary at or before `cycle`.
-    pub(crate) fn catch_up(&mut self, cycle: u64, cores: &[Core]) {
+    /// Record one sample per core, standing for `weight` runs, for every
+    /// boundary at or before `cycle`; returns the next boundary.
+    pub(crate) fn catch_up(&mut self, cycle: u64, cores: &[Core], weight: usize) -> u64 {
         while self.next <= cycle {
-            for (c, core) in cores.iter().enumerate() {
+            for ((c, core), prev) in cores.iter().enumerate().zip(&mut self.prev_committed) {
                 let s = core.pipe_snapshot(self.next);
                 ampsched_obs::profiler::record(ampsched_obs::profiler::PipeSample {
                     cycle: self.next,
+                    machine: self.machine,
                     core: c as u8,
+                    weight: weight as u32,
                     stall: s.stall.code(),
                     rob: s.rob,
                     isq_int: s.isq_int,
                     isq_fp: s.isq_fp,
                     lq: s.lq,
                     sq: s.sq,
-                    committed: s.committed,
+                    commits: s.committed - *prev,
+                    cycles: self.next - self.prev_cycle,
                     issue_slots: s.issue_slots,
                 });
+                *prev = s.committed;
             }
+            self.prev_cycle = self.next;
             self.next += self.interval;
         }
+        self.next
     }
 }
 

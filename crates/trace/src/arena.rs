@@ -439,6 +439,8 @@ impl ArenaEntry {
             inner.gen_chunks += 1;
             let mut data = Vec::with_capacity(CHUNK_OPS * 8);
             encode_stream(buf, &mut data);
+            // Keep only the packed bytes: the budget counts `len()`.
+            data.shrink_to_fit();
             timing::record(t.elapsed());
             ampsched_obs::counter!("trace.arena.chunk.materialize");
             ampsched_obs::hist!("trace.arena.chunk_bytes", data.len());
@@ -947,6 +949,22 @@ mod tests {
             chunks_before,
             "the second reader must not re-materialize the shared prefix"
         );
+    }
+
+    #[test]
+    fn resident_chunks_hold_exactly_their_packed_bytes() {
+        let spec = suite::by_name("gcc").unwrap();
+        let mut r = ReplaySource::for_thread(spec, 0xc4a9_0001, 0);
+        for _ in 0..3 * CHUNK_OPS {
+            r.next_op();
+        }
+        let inner = r.entry.inner.lock().unwrap();
+        assert_eq!(inner.chunks.len(), 3);
+        for chunk in &inner.chunks {
+            assert_eq!(chunk.data.capacity(), chunk.data.len());
+        }
+        let bytes: usize = inner.chunks.iter().map(|c| c.data.len()).sum();
+        assert_eq!(r.entry.bytes.load(Ordering::Relaxed), bytes as u64);
     }
 
     /// The first `n` ops of a stream, generated live.

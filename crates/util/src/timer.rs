@@ -44,10 +44,14 @@ pub fn resolve_out_dir(dir: &std::path::Path) -> std::path::PathBuf {
 /// Accumulates total elapsed time and call counts per named phase, in
 /// first-seen order, and renders either a plain-text table or a
 /// `{"benchmarks": [...]}` JSON document that [`diff_benchmarks`] can
-/// compare against another run.
+/// compare against another run. Phases run one after another, so their
+/// times add up to the wall clock; busy times ([`Profiler::add_busy`])
+/// are summed over worker threads and may overlap each other and the
+/// phases, so they are kept apart and never counted into the total.
 #[derive(Debug, Default)]
 pub struct Profiler {
     phases: Vec<(String, Duration, u64)>,
+    busy: Vec<(String, Duration, u64)>,
 }
 
 impl Profiler {
@@ -64,23 +68,24 @@ impl Profiler {
         out
     }
 
-    /// Add an externally measured duration to `name`.
+    /// Add one call of an externally measured sequential phase to `name`.
     pub fn add(&mut self, name: &str, d: Duration) {
-        match self.phases.iter_mut().find(|(n, _, _)| n == name) {
-            Some((_, total, calls)) => {
-                *total += d;
-                *calls += 1;
-            }
-            None => self.phases.push((name.to_string(), d, 1)),
-        }
+        accumulate(&mut self.phases, name, d, 1);
     }
 
-    /// Phases recorded so far: `(name, total, calls)`.
+    /// Add `calls` calls worth `d` of busy time, summed over threads, to
+    /// `name`.
+    pub fn add_busy(&mut self, name: &str, d: Duration, calls: u64) {
+        accumulate(&mut self.busy, name, d, calls);
+    }
+
+    /// Sequential phases recorded so far: `(name, total, calls)`.
     pub fn phases(&self) -> &[(String, Duration, u64)] {
         &self.phases
     }
 
-    /// An aligned text table of the recorded phases.
+    /// An aligned text table: the sequential phases with their share of
+    /// the total, then the busy times without one.
     pub fn render(&self) -> String {
         let total: f64 = self.phases.iter().map(|(_, d, _)| d.as_secs_f64()).sum();
         let mut out = String::new();
@@ -99,18 +104,32 @@ impl Profiler {
             ));
         }
         out.push_str(&format!("{:<28} {:>12}\n", "total", fmt_ns(total * 1e9)));
+        if !self.busy.is_empty() {
+            out.push_str(&format!(
+                "\n{:<28} {:>12} {:>8}\n",
+                "busy, summed over threads", "total", "calls"
+            ));
+            for (name, d, calls) in &self.busy {
+                out.push_str(&format!(
+                    "{:<28} {:>12} {:>8}\n",
+                    name,
+                    fmt_ns(d.as_secs_f64() * 1e9),
+                    calls
+                ));
+            }
+        }
         out
     }
 
-    /// The phases as a `{"target", "benchmarks": [{"name", "samples",
-    /// "mean_ns"}]}` results document (each phase's `mean_ns` is its
-    /// *total* nanoseconds, `samples` its call count).
+    /// The phases, then the busy times, as a `{"target", "benchmarks":
+    /// [{"name", "samples", "mean_ns"}]}` results document (each entry's
+    /// `mean_ns` is its *total* nanoseconds, `samples` its call count).
     pub fn to_bench_json(&self, target: &str) -> Json {
         Json::obj([
             ("target", Json::from(target)),
             (
                 "benchmarks",
-                Json::arr(self.phases.iter().map(|(name, d, calls)| {
+                Json::arr(self.phases.iter().chain(&self.busy).map(|(name, d, calls)| {
                     Json::obj([
                         ("name", Json::from(name.as_str())),
                         ("samples", Json::from(*calls)),
@@ -119,6 +138,18 @@ impl Profiler {
                 })),
             ),
         ])
+    }
+}
+
+/// Add `calls` calls worth `d` to `name` in `entries`, appending it on
+/// first sight.
+fn accumulate(entries: &mut Vec<(String, Duration, u64)>, name: &str, d: Duration, calls: u64) {
+    match entries.iter_mut().find(|(n, _, _)| n == name) {
+        Some((_, total, n)) => {
+            *total += d;
+            *n += calls;
+        }
+        None => entries.push((name.to_string(), d, calls)),
     }
 }
 
@@ -283,6 +314,42 @@ mod tests {
         let rendered = render_diff_labeled(&deltas, 10.0, "before", "after");
         let r = deltas.iter().find(|d| d.name == "report").unwrap();
         assert!(r.change_pct() > 10.0 && rendered.contains("REGRESSION"), "{rendered}");
+    }
+
+    #[test]
+    fn render_shares_only_sequential_phases() {
+        let mut p = Profiler::new();
+        p.add("profiling", Duration::from_millis(750));
+        p.add("fig7", Duration::from_millis(250));
+        // Busy time over two threads can exceed the wall clock.
+        p.add_busy("trace", Duration::from_millis(1500), 1);
+        p.add_busy("span.run", Duration::from_millis(600), 16);
+        p.add_busy("span.run", Duration::from_millis(400), 8);
+        let table = p.render();
+        let row = |name: &str| {
+            table
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(name))
+                .unwrap_or_else(|| panic!("no {name} row in\n{table}"))
+                .to_string()
+        };
+        assert!(row("profiling").ends_with("75.0%"), "{table}");
+        assert!(row("fig7").ends_with("25.0%"), "{table}");
+        assert!(row("total").contains("1.000 s"), "total is the sequential sum:\n{table}");
+        assert!(row("trace").ends_with("1.500 s        1"), "{table}");
+        assert!(row("span.run").ends_with("1.000 s       24"), "real call count:\n{table}");
+        assert!(!row("span.run").contains('%') && !row("trace").contains('%'));
+
+        // The bench document keeps every entry, phases first.
+        let doc = p.to_bench_json("t");
+        let names: Vec<&str> = doc
+            .get("benchmarks")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|b| b.get("name").and_then(Json::as_str).unwrap())
+            .collect();
+        assert_eq!(names, ["profiling", "fig7", "trace", "span.run"]);
     }
 
     #[test]
